@@ -8,7 +8,6 @@ and the group-action harness), :mod:`.cli` (command line front end).
 """
 
 from .basis import (
-    BasisCache,
     SHARED_CACHE,
     basis_by_fixpoint,
     enumerate_basis,

@@ -15,15 +15,18 @@ word whose spine factors are basis members.  Letters are candidates (and
 basis members) by convention.
 
 Membership does not depend on the alphabet — only letter ranks matter — so
-the default memo tables are process-wide (:data:`SHARED_CACHE`); pass a fresh
-:class:`BasisCache` for isolation.
+its memo tables, and the canonical-form table of :mod:`.loop`, live in one
+process-wide owner, :data:`SHARED_CACHE`.  As the lowest layer that
+enumerates, this module also owns the wall-clock budget (:func:`budgeted`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+import time
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from types import SimpleNamespace
+from typing import Callable, Iterable
 
 from .normalize import is_reduced, normal_form
 from .words import (
@@ -40,17 +43,15 @@ from .words import (
     word_key,
 )
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .loop import PalindromicForm
-
 __all__ = [
-    "BasisCache",
+    "BudgetExceeded",
     "SHARED_CACHE",
     "is_candidate",
     "in_basis",
     "in_loop",
     "why_not_in_loop",
     "enumerate_reduced",
+    "enumerate_filtered",
     "enumerate_candidates",
     "enumerate_basis",
     "enumerate_loop_words",
@@ -58,23 +59,38 @@ __all__ = [
 ]
 
 
-@dataclass
-class BasisCache:
-    """Memo tables shared by the membership predicates and canonical forms.
-
-    One process-wide instance (:data:`SHARED_CACHE`) is the default
-    everywhere; separate instances only cost recomputation.
-    """
-
-    candidate: dict[Word, bool] = field(default_factory=dict)
-    basis: dict[Word, bool] = field(default_factory=dict)
-    forms: dict[Word, "PalindromicForm"] = field(default_factory=dict)
+SHARED_CACHE = SimpleNamespace(candidate={}, basis={}, forms={})
+"""The one owner of the memo tables keyed by word: ``candidate`` and ``basis``
+(membership flags) and ``forms`` (canonical forms of :mod:`.loop`).  Code
+reads each table through this object on every call, never through an alias,
+so a table may be replaced at run time."""
 
 
-SHARED_CACHE = BasisCache()
+class BudgetExceeded(RuntimeError):
+    """A command ran past its wall-clock budget."""
 
 
-def is_candidate(word: Word, cache: BasisCache = SHARED_CACHE) -> bool:
+def deadline_after(budget_ms: float | None) -> float | None:
+    """The deadline ``budget_ms`` milliseconds from now; ``None`` for none."""
+    return None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
+
+
+def budgeted(items: Iterable, deadline: float | None) -> Iterable:
+    """``items`` itself without a deadline; otherwise an iterator over them
+    that raises :class:`BudgetExceeded` before any item once it has passed."""
+    if deadline is None:
+        return items
+    return _until(deadline, items)
+
+
+def _until(deadline: float, items: Iterable) -> Iterable:
+    for item in items:
+        if time.monotonic() >= deadline:
+            raise BudgetExceeded("wall-clock budget exhausted")
+        yield item
+
+
+def is_candidate(word: Word) -> bool:
     """Order-minimal representative of a fully reduced transpose family.
 
     Length-1 words are candidates by convention; the identity word is not.
@@ -84,52 +100,48 @@ def is_candidate(word: Word, cache: BasisCache = SHARED_CACHE) -> bool:
     if word.size == 1:
         return True
     try:
-        return cache.candidate[word]
+        return SHARED_CACHE.candidate[word]
     except KeyError:
         pass
     ok = False
     if is_reduced(word) and spine_factors(word)[-1].size == 1:
         t = transpose(word)
         ok = t is not word and is_reduced(t) and compare(word, t) < 0
-    cache.candidate[word] = ok
+    SHARED_CACHE.candidate[word] = ok
     return ok
 
 
-def in_basis(word: Word, cache: BasisCache = SHARED_CACHE) -> bool:
+def in_basis(word: Word) -> bool:
     """Basis membership: a candidate whose spine factors are all in the basis."""
     if word.size == 0:
         return False
     if word.size == 1:
         return True
     try:
-        return cache.basis[word]
+        return SHARED_CACHE.basis[word]
     except KeyError:
         pass
-    ok = is_candidate(word, cache) and all(
-        in_basis(f, cache) for f in spine_factors(word)
-    )
-    cache.basis[word] = ok
+    ok = is_candidate(word) and all(in_basis(f) for f in spine_factors(word))
+    SHARED_CACHE.basis[word] = ok
     return ok
 
 
-def in_loop(word: Word, cache: BasisCache = SHARED_CACHE) -> bool:
+def in_loop(word: Word) -> bool:
     """Carrier membership: the identity word, or a reduced word whose spine
     factors are basis members."""
     if word.size == 0:
         return True
-    return is_reduced(word) and all(in_basis(f, cache) for f in spine_factors(word))
+    return is_reduced(word) and all(in_basis(f) for f in spine_factors(word))
 
 
-def why_not_in_loop(
-    word: Word, alphabet: Alphabet, cache: BasisCache = SHARED_CACHE
-) -> str | None:
+def why_not_in_loop(word: Word, alphabet: Alphabet) -> str | None:
     """``None`` when the word is a carrier element, else a diagnosis."""
     if word.size == 0:
         return None
     if not is_reduced(word):
         return f"not reduced: normal form is {render(normal_form(word), alphabet)}"
     for f in spine_factors(word):
-        if not in_basis(f, cache):
+        if not in_basis(f):
             note = " (the factor is symmetric)" if is_symmetric(f) else ""
             return f"spine factor {render(f, alphabet)} is not a basis member{note}"
     return None
@@ -159,37 +171,45 @@ def enumerate_reduced(alphabet: Alphabet, size: int) -> tuple[Word, ...]:
     return _reduced_words(len(alphabet), size)
 
 
-def _filtered_up_to(alphabet, max_len, keep) -> list[Word]:
-    out = [
-        w
-        for n in range(1, max_len + 1)
-        for w in enumerate_reduced(alphabet, n)
-        if keep(w)
-    ]
+def enumerate_filtered(
+    alphabet: Alphabet,
+    max_len: int,
+    keep: Callable[[Word], bool],
+    *,
+    deadline: float | None = None,
+) -> list[Word]:
+    """Reduced words of length at most ``max_len`` that satisfy ``keep``,
+    sorted by the word order.  With a deadline the scan checks it before
+    each word and raises :class:`BudgetExceeded` once it has passed."""
+    scanned = itertools.chain.from_iterable(
+        enumerate_reduced(alphabet, n) for n in range(1, max_len + 1)
+    )
+    out = [w for w in budgeted(scanned, deadline) if keep(w)]
     out.sort(key=word_key)
     return out
 
 
 def enumerate_candidates(
-    alphabet: Alphabet, max_len: int, cache: BasisCache = SHARED_CACHE
+    alphabet: Alphabet, max_len: int, *, deadline: float | None = None
 ) -> list[Word]:
     """Candidates of length at most ``max_len``, sorted by the word order."""
-    return _filtered_up_to(alphabet, max_len, lambda w: is_candidate(w, cache))
+    return enumerate_filtered(alphabet, max_len, is_candidate, deadline=deadline)
 
 
 def enumerate_basis(
-    alphabet: Alphabet, max_len: int, cache: BasisCache = SHARED_CACHE
+    alphabet: Alphabet, max_len: int, *, deadline: float | None = None
 ) -> list[Word]:
     """Basis members of length at most ``max_len``, sorted by the word order."""
-    return _filtered_up_to(alphabet, max_len, lambda w: in_basis(w, cache))
+    return enumerate_filtered(alphabet, max_len, in_basis, deadline=deadline)
 
 
 def enumerate_loop_words(
-    alphabet: Alphabet, max_len: int, cache: BasisCache = SHARED_CACHE
+    alphabet: Alphabet, max_len: int, *, deadline: float | None = None
 ) -> list[Word]:
     """Carrier elements of length at most ``max_len`` (identity included),
     sorted by the word order."""
-    return [IDENTITY] + _filtered_up_to(alphabet, max_len, lambda w: in_loop(w, cache))
+    carrier = enumerate_filtered(alphabet, max_len, in_loop, deadline=deadline)
+    return [IDENTITY] + carrier
 
 
 def basis_by_fixpoint(alphabet: Alphabet, max_len: int) -> frozenset[Word]:

@@ -1,8 +1,14 @@
 """Command line front end.
 
+Every command parses its operands, calls the library and prints the result
+as text or JSON.  ``--budget`` becomes one deadline that the enumeration,
+``ldiv`` and check loops test before each word, candidate or case they scan.
+
 Exit codes: 0 success (checks passed), 1 a check reported failures,
 2 malformed input or usage, 3 an operand is not a loop element (with a
-diagnosis naming the offending spine factor), 4 wall-clock budget exceeded.
+diagnosis naming the offending spine factor), 4 wall-clock budget exceeded,
+5 input too large for this process (recursion depth or memory), 6 an
+internal invariant failed (a bug in this package).
 """
 
 from __future__ import annotations
@@ -10,19 +16,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
+from functools import partial
 from typing import Sequence
 
 from .basis import (
-    enumerate_reduced,
-    in_basis,
-    in_loop,
-    is_candidate,
+    BudgetExceeded,
+    deadline_after,
+    enumerate_basis,
+    enumerate_candidates,
+    enumerate_filtered,
+    enumerate_loop_words,
     why_not_in_loop,
 )
 from .loop import ldiv, mul, rdiv, symmetric_form
+from .normalize import InternalInvariantError, normal_form
 from .verify import (
-    BudgetExceeded,
     CheckReport,
     IDENTITY_SUITES,
     SampleSpec,
@@ -30,17 +38,14 @@ from .verify import (
     check_transversal,
 )
 from .words import (
-    IDENTITY,
     Alphabet,
     Word,
-    WordSyntaxError,
     compare,
     parse,
     render,
     spine_factors,
     transpose,
     transpose_family,
-    word_key,
 )
 
 __all__ = ["main", "build_parser", "NotLoopElement"]
@@ -75,8 +80,6 @@ def _emit(ns, lines: list[str], payload) -> None:
 
 def _cmd_normalize(ns) -> int:
     alphabet = _alphabet(ns)
-    from .normalize import normal_form
-
     out = render(normal_form(parse(ns.word, alphabet)), alphabet)
     _emit(ns, [out], out)
     return 0
@@ -150,7 +153,7 @@ def _cmd_ldiv(ns) -> int:
     alphabet = _alphabet(ns)
     a = _require_loop(ns.left, alphabet)
     b = _require_loop(ns.right, alphabet)
-    x = ldiv(a, b, alphabet, max_len=ns.bound)
+    x = ldiv(a, b, alphabet, max_len=ns.bound, deadline=deadline_after(ns.budget))
     if x is None:
         _emit(ns, ["not-found"], None)
     else:
@@ -160,25 +163,17 @@ def _cmd_ldiv(ns) -> int:
 
 
 _ENUM_KINDS = {
-    "W": lambda w: True,
-    "D": is_candidate,
-    "R": in_basis,
-    "B": in_loop,
+    "W": partial(enumerate_filtered, keep=lambda w: True),
+    "D": enumerate_candidates,
+    "R": enumerate_basis,
+    "B": enumerate_loop_words,
 }
 
 
 def _cmd_enum(ns) -> int:
     alphabet = _alphabet(ns)
-    keep = _ENUM_KINDS[ns.kind]
-    deadline = None if ns.budget is None else time.monotonic() + ns.budget / 1000.0
-    words: list[Word] = [IDENTITY] if ns.kind == "B" else []
-    for n in range(1, ns.max_len + 1):
-        for w in enumerate_reduced(alphabet, n):
-            if deadline is not None and time.monotonic() >= deadline:
-                raise BudgetExceeded("enumeration ran past its budget")
-            if keep(w):
-                words.append(w)
-    words.sort(key=word_key)
+    enumerate_kind = _ENUM_KINDS[ns.kind]
+    words = enumerate_kind(alphabet, ns.max_len, deadline=deadline_after(ns.budget))
     rendered = [render(w, alphabet) for w in words]
     _emit(ns, rendered + [f"count: {len(rendered)}"], rendered)
     return 0
@@ -345,14 +340,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return ns.handler(ns)
     except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        code, message = 4, str(exc)
+    except (RecursionError, MemoryError) as exc:
+        code, message = 5, f"input too large for this process ({type(exc).__name__})"
+    except InternalInvariantError as exc:
+        code, message = 6, f"internal invariant failed: {exc}"
     except NotLoopElement as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code, message = 3, str(exc)
     except ValueError as exc:  # includes WordSyntaxError and bad alphabets
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

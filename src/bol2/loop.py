@@ -36,14 +36,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .basis import SHARED_CACHE, BasisCache, enumerate_loop_words, in_basis, in_loop
+from .basis import SHARED_CACHE, budgeted, enumerate_loop_words, in_basis, in_loop
 from .normalize import (
     InternalInvariantError,
     is_reduced,
     normal_form,
     normal_form_chain,
 )
-from .words import IDENTITY, Alphabet, Word, left_assoc, spine_factors, transpose
+from .words import (
+    IDENTITY,
+    Alphabet,
+    Word,
+    left_assoc,
+    palindromic_splits,
+    spine_factors,
+    transpose,
+)
 
 __all__ = [
     "PalindromicForm",
@@ -105,19 +113,12 @@ def _cancel_junction(wrap: tuple[Word, ...], core: tuple[Word, ...]) -> tuple[Wo
     return tuple(w + c)
 
 
-def _palindromic_half(word: Word, cache: BasisCache) -> tuple[Word, ...]:
+def _palindromic_half(word: Word) -> tuple[Word, ...]:
     """The half of the unique odd palindromic spine split of ``word`` whose
     entries are all basis members."""
-    factors = spine_factors(word)
-    r = len(factors)
     found: tuple[Word, ...] | None = None
-    for j in range(1, r - 1):
-        if (r - j) % 2:
-            continue
-        cand = (left_assoc(factors[:j]),) + factors[j:]
-        if cand != cand[::-1]:
-            continue
-        if not all(in_basis(x, cache) for x in cand):
+    for cand in palindromic_splits(word):
+        if not all(in_basis(x) for x in cand):
             continue
         if found is not None:
             raise InternalInvariantError(f"ambiguous palindromic split: {word!r}")
@@ -127,18 +128,18 @@ def _palindromic_half(word: Word, cache: BasisCache) -> tuple[Word, ...]:
     return found
 
 
-def symmetric_form(element: Word, cache: BasisCache = SHARED_CACHE) -> PalindromicForm:
+def symmetric_form(element: Word) -> PalindromicForm:
     """The canonical palindromic form of a non-identity carrier element."""
     if element.size == 0:
         raise ValueError("the identity word has no palindromic form")
     try:
-        return cache.forms[element]
+        return SHARED_CACHE.forms[element]
     except KeyError:
         pass
-    if not in_loop(element, cache):
+    if not in_loop(element):
         raise ValueError(f"not a carrier element: {element!r}")
 
-    if in_basis(element, cache):
+    if in_basis(element):
         form = PalindromicForm((element,))
     else:
         factors = spine_factors(element)
@@ -146,14 +147,14 @@ def symmetric_form(element: Word, cache: BasisCache = SHARED_CACHE) -> Palindrom
         t = transpose(element)
         tt = transpose(t)
         if not is_reduced(t):
-            core = symmetric_form(_shrunk(t, element, cache), cache).half
+            core = symmetric_form(_shrunk(t, element)).half
         elif not is_reduced(tt):
             wrap = _unfold_wrap(factors[-1])
-            core = symmetric_form(_shrunk(tt, element, cache), cache).half
+            core = symmetric_form(_shrunk(tt, element)).half
         elif t is not tt:
-            if in_basis(t, cache):
+            if in_basis(t):
                 core = (t,)
-            elif in_basis(tt, cache):
+            elif in_basis(tt):
                 wrap = _unfold_wrap(factors[-1])
                 core = (tt,)
             else:
@@ -162,29 +163,29 @@ def symmetric_form(element: Word, cache: BasisCache = SHARED_CACHE) -> Palindrom
                 )
         else:
             # The common transpose is symmetric: extract its palindrome.
-            core = _palindromic_half(t, cache)
+            core = _palindromic_half(t)
         form = PalindromicForm(_cancel_junction(wrap, core))
 
     if normal_form_chain(IDENTITY, form.sequence) is not element:
         raise InternalInvariantError(
             f"form {form.half!r} does not denote {element!r}"
         )
-    cache.forms[element] = form
+    SHARED_CACHE.forms[element] = form
     return form
 
 
-def _shrunk(transposed: Word, element: Word, cache: BasisCache) -> Word:
+def _shrunk(transposed: Word, element: Word) -> Word:
     # Normal form of a non-reduced transpose: strictly shorter, still in the
     # carrier and non-identity, so the recursion terminates.
     reduced = normal_form(transposed)
-    if reduced.size == 0 or reduced.size >= element.size or not in_loop(reduced, cache):
+    if reduced.size == 0 or reduced.size >= element.size or not in_loop(reduced):
         raise InternalInvariantError(
             f"transpose of {element!r} reduced to unusable {reduced!r}"
         )
     return reduced
 
 
-def mul(x: Word, y: Word, cache: BasisCache = SHARED_CACHE) -> Word:
+def mul(x: Word, y: Word) -> Word:
     """The loop product: fold the palindrome denoting ``y`` into ``x``.
 
     Both operands must be carrier elements (not checked here; the command
@@ -193,26 +194,28 @@ def mul(x: Word, y: Word, cache: BasisCache = SHARED_CACHE) -> Word:
         return x
     if x.size == 0:
         return y
-    return normal_form_chain(x, symmetric_form(y, cache).sequence)
+    return normal_form_chain(x, symmetric_form(y).sequence)
 
 
-def rdiv(b: Word, a: Word, cache: BasisCache = SHARED_CACHE) -> Word:
+def rdiv(b: Word, a: Word) -> Word:
     """The unique ``x`` with ``x * a = b``; since ``(x*a)*a = x`` this is just
     ``b * a``."""
-    return mul(b, a, cache)
+    return mul(b, a)
 
 
 def ldiv(
     a: Word,
     b: Word,
     alphabet: Alphabet,
-    cache: BasisCache = SHARED_CACHE,
     max_len: int | None = None,
+    *,
+    deadline: float | None = None,
 ) -> Word | None:
     """The ``x`` with ``a * x = b``, by search over carrier elements of length
     at most ``max_len`` (default ``|a| + |b| + 2``).  Returns ``None`` when no
     solution exists within the bound — the bound, not the loop, may be the
-    limiting factor."""
+    limiting factor.  With a deadline, both the listing and the scan raise
+    :class:`~bol2.basis.BudgetExceeded` once it has passed."""
     if a.size == 0:
         return b
     if b.size == 0:
@@ -220,13 +223,14 @@ def ldiv(
     if a is b:
         return IDENTITY
     bound = max_len if max_len is not None else a.size + b.size + 2
-    for x in enumerate_loop_words(alphabet, bound, cache):
-        if mul(a, x, cache) is b:
+    pool = enumerate_loop_words(alphabet, bound, deadline=deadline)
+    for x in budgeted(pool, deadline):
+        if mul(a, x) is b:
             return x
     return None
 
 
-def element_order_two(x: Word, cache: BasisCache = SHARED_CACHE) -> bool:
+def element_order_two(x: Word) -> bool:
     """Whether the element squares to the identity (true for every carrier
     element; the identity word trivially included)."""
-    return mul(x, x, cache).size == 0
+    return mul(x, x).size == 0

@@ -31,8 +31,9 @@ import time
 from dataclasses import dataclass, field
 
 from .basis import (
-    SHARED_CACHE,
-    BasisCache,
+    BudgetExceeded,
+    budgeted,
+    deadline_after,
     enumerate_basis,
     enumerate_loop_words,
     in_basis,
@@ -53,10 +54,6 @@ __all__ = [
     "check_identity_suite",
     "check_transversal",
 ]
-
-
-class BudgetExceeded(RuntimeError):
-    """A check ran past its wall-clock budget."""
 
 
 @dataclass(frozen=True)
@@ -96,24 +93,24 @@ def group_mul(u: GroupWord, v: GroupWord) -> GroupWord:
     return GroupWord(tuple(a) + v.gens[j:])
 
 
-def act(start: Word, gw: GroupWord, cache: BasisCache = SHARED_CACHE) -> Word:
+def act(start: Word, gw: GroupWord) -> Word:
     """Fold right loop multiplications by the generators into ``start``."""
     out = start
     for g in gw.gens:
-        out = mul(out, g, cache)
+        out = mul(out, g)
     return out
 
 
-def s_word(gw: GroupWord, cache: BasisCache = SHARED_CACHE) -> GroupWord:
+def s_word(gw: GroupWord) -> GroupWord:
     """The palindromic group word acting like the image ``act(1, gw)``.
 
     Multiplying ``gw`` by it lands in the stabilizer of the identity word.
     Raises ``ValueError`` when ``gw`` stabilizes the identity already.
     """
-    v = act(IDENTITY, gw, cache)
+    v = act(IDENTITY, gw)
     if v.size == 0:
         raise ValueError("group word already stabilizes the identity")
-    return GroupWord(symmetric_form(v, cache).sequence)
+    return GroupWord(symmetric_form(v).sequence)
 
 
 @dataclass(frozen=True)
@@ -161,15 +158,6 @@ class CheckReport:
         }
 
 
-def _deadline(budget_ms: float | None) -> float | None:
-    return None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-
-
-def _tick(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() >= deadline:
-        raise BudgetExceeded("wall-clock budget exhausted")
-
-
 def _distinct_runs(pool, length):
     """All tuples over ``pool`` of the given length with adjacent entries
     distinct."""
@@ -183,18 +171,16 @@ def _distinct_runs(pool, length):
             yield prefix + (g,)
 
 
-def _bol(x, y, z, cache):
-    return mul(mul(mul(x, y, cache), z, cache), y, cache) is mul(
-        x, mul(mul(y, z, cache), y, cache), cache
-    )
+def _bol(x, y, z):
+    return mul(mul(mul(x, y), z), y) is mul(x, mul(mul(y, z), y))
 
 
-def _exp2(x, cache):
-    return mul(x, x, cache) is IDENTITY
+def _exp2(x):
+    return mul(x, x) is IDENTITY
 
 
-def _rip(x, y, cache):
-    return mul(mul(x, y, cache), y, cache) is x
+def _rip(x, y):
+    return mul(mul(x, y), y) is x
 
 
 IDENTITY_SUITES = ("bol", "exp2", "rip", "nuclei", "unique-form")
@@ -210,27 +196,26 @@ def check_identity_suite(
     which: str,
     alphabet: Alphabet,
     spec: SampleSpec = SampleSpec(),
-    cache: BasisCache = SHARED_CACHE,
     budget_ms: float | None = None,
 ) -> CheckReport:
     """Run one identity suite (see the module docstring) and report."""
-    deadline = _deadline(budget_ms)
+    deadline = deadline_after(budget_ms)
     start = time.perf_counter()
     if which in _TUPLE_SUITES:
-        report = _check_tuple_identity(which, alphabet, spec, cache, deadline)
+        report = _check_tuple_identity(which, alphabet, spec, deadline)
     elif which == "nuclei":
-        report = _check_middle_nucleus(alphabet, spec, cache, deadline)
+        report = _check_middle_nucleus(alphabet, spec, deadline)
     elif which == "unique-form":
-        report = _check_unique_form(alphabet, spec, cache, deadline)
+        report = _check_unique_form(alphabet, spec, deadline)
     else:
         raise ValueError(f"unknown suite {which!r} (choose from {IDENTITY_SUITES})")
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
 
 
-def _check_tuple_identity(which, alphabet, spec, cache, deadline) -> CheckReport:
+def _check_tuple_identity(which, alphabet, spec, deadline) -> CheckReport:
     arity, holds, law = _TUPLE_SUITES[which]
-    pool = enumerate_loop_words(alphabet, spec.max_len, cache)
+    pool = enumerate_loop_words(alphabet, spec.max_len, deadline=deadline)
     total = len(pool) ** arity
     names = "xyz"[:arity]
     base = (
@@ -251,10 +236,9 @@ def _check_tuple_identity(which, alphabet, spec, cache, deadline) -> CheckReport
             f"{base}, sample of {spec.sample_size} tuples (seed {spec.seed})",
             seed=spec.seed,
         )
-    for tup in tuples:
-        _tick(deadline)
+    for tup in budgeted(tuples, deadline):
         report.cases += 1
-        if not holds(*tup, cache):
+        if not holds(*tup):
             binding = " ".join(
                 f"{n}={render(w, alphabet)}" for n, w in zip(names, tup)
             )
@@ -262,10 +246,10 @@ def _check_tuple_identity(which, alphabet, spec, cache, deadline) -> CheckReport
     return report
 
 
-def _check_middle_nucleus(alphabet, spec, cache, deadline) -> CheckReport:
+def _check_middle_nucleus(alphabet, spec, deadline) -> CheckReport:
     """No non-identity element may satisfy ``(x a) y = x (a y)`` for *all*
     ``x, y`` in the bounded universe.  Always exhaustive."""
-    pool = enumerate_loop_words(alphabet, spec.max_len, cache)
+    pool = enumerate_loop_words(alphabet, spec.max_len, deadline=deadline)
     total = len(pool) ** 3
     if total > spec.exhaustive_limit:
         raise ValueError(
@@ -281,10 +265,9 @@ def _check_middle_nucleus(alphabet, spec, cache, deadline) -> CheckReport:
         if a.size == 0:
             continue
         central = True
-        for x, y in itertools.product(pool, repeat=2):
-            _tick(deadline)
+        for x, y in budgeted(itertools.product(pool, repeat=2), deadline):
             report.cases += 1
-            if mul(mul(x, a, cache), y, cache) is not mul(x, mul(a, y, cache), cache):
+            if mul(mul(x, a), y) is not mul(x, mul(a, y)):
                 central = False
                 break
         if central:
@@ -295,11 +278,11 @@ def _check_middle_nucleus(alphabet, spec, cache, deadline) -> CheckReport:
     return report
 
 
-def _check_unique_form(alphabet, spec, cache, deadline) -> CheckReport:
+def _check_unique_form(alphabet, spec, deadline) -> CheckReport:
     """Distinct palindromic halves (entries: basis words of length <=
     ``max_len``; half length <= ``max_seq``) must denote distinct non-identity
     elements, each having that half as its canonical form."""
-    gens = enumerate_basis(alphabet, spec.max_len, cache)
+    gens = enumerate_basis(alphabet, spec.max_len, deadline=deadline)
     report = CheckReport(
         "unique-form",
         f"palindromic halves of length <= {spec.max_seq} over the "
@@ -312,8 +295,7 @@ def _check_unique_form(alphabet, spec, cache, deadline) -> CheckReport:
 
     index: dict[Word, tuple[Word, ...]] = {}
     for m in range(1, spec.max_seq + 1):
-        for half in _distinct_runs(gens, m):
-            _tick(deadline)
+        for half in budgeted(_distinct_runs(gens, m), deadline):
             report.cases += 1
             value = normal_form_chain(IDENTITY, half + half[-2::-1])
             if value.size == 0:
@@ -325,7 +307,7 @@ def _check_unique_form(alphabet, spec, cache, deadline) -> CheckReport:
                 )
             else:
                 index[value] = half
-                if symmetric_form(value, cache).half != half:
+                if symmetric_form(value).half != half:
                     report.failures.append(
                         f"{fmt(half)} denotes {render(value, alphabet)} but is "
                         f"not its canonical form"
@@ -336,15 +318,14 @@ def _check_unique_form(alphabet, spec, cache, deadline) -> CheckReport:
 def check_transversal(
     alphabet: Alphabet,
     spec: SampleSpec = SampleSpec(max_len=5),
-    cache: BasisCache = SHARED_CACHE,
     budget_ms: float | None = None,
 ) -> CheckReport:
     """Every group word ``g`` moving the identity to ``v != 1`` must return to
     the stabilizer after the palindromic word of ``v``:
     ``act(1, g * s_word(g)) = 1``."""
-    deadline = _deadline(budget_ms)
+    deadline = deadline_after(budget_ms)
     start = time.perf_counter()
-    gens = enumerate_basis(alphabet, spec.max_len, cache)
+    gens = enumerate_basis(alphabet, spec.max_len, deadline=deadline)
     n = len(gens)
     total = sum(n * (n - 1) ** (k - 1) for k in range(1, spec.max_seq + 1))
     base = (
@@ -379,20 +360,19 @@ def check_transversal(
             seed=spec.seed,
         )
 
-    for run in runs:
-        _tick(deadline)
+    for run in budgeted(runs, deadline):
         report.cases += 1
         gw = GroupWord(run)
-        v = act(IDENTITY, gw, cache)
+        v = act(IDENTITY, gw)
         if v.size == 0:
             continue  # already in the stabilizer; nothing to decompose
-        sw = s_word(gw, cache)
+        sw = s_word(gw)
         label = "*".join(render(g, alphabet) for g in run)
-        if act(IDENTITY, sw, cache) is not v:
+        if act(IDENTITY, sw) is not v:
             report.failures.append(
                 f"palindromic word of {label} denotes the wrong element"
             )
-        elif act(IDENTITY, group_mul(gw, sw), cache).size != 0:
+        elif act(IDENTITY, group_mul(gw, sw)).size != 0:
             report.failures.append(
                 f"{label} * its palindromic word does not stabilize the identity"
             )

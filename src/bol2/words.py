@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "Word",
@@ -48,6 +48,7 @@ __all__ = [
     "transpose_twice",
     "transpose_family",
     "transpose_min",
+    "palindromic_splits",
     "is_symmetric",
     "subwords",
     "compare",
@@ -55,8 +56,10 @@ __all__ = [
     "enumerate_words",
 ]
 
-# Letters outside this range fall back to x0, x1, ... in debugging output.
-_DEBUG_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+def _debug_name(index: int) -> str:
+    # Debugging output spells ranks past z as x26, x27, ...
+    return chr(ord("a") + index) if index < 26 else f"x{index}"
 
 
 class Word:
@@ -68,7 +71,7 @@ class Word:
     size: int  # number of letters (0 for the identity word)
 
     def __repr__(self) -> str:
-        return f"Word({_debug_str(self)!r})"
+        return f"Word({_spell(self, _debug_name)!r})"
 
 
 class _Identity(Word):
@@ -123,22 +126,6 @@ class Product(Word):
         # every word alive), so keying on object ids is stable.
         cls._interned[id(left), id(right)] = self
         return self
-
-
-def _debug_str(word: Word) -> str:
-    if word.size == 0:
-        return "1"
-    if isinstance(word, Letter):
-        i = word.index
-        return _DEBUG_LETTERS[i] if i < len(_DEBUG_LETTERS) else f"x{i}"
-
-    def go(w: Word, top: bool) -> str:
-        if isinstance(w, Letter):
-            return _debug_str(w)
-        s = go(w.left, False) + go(w.right, False)
-        return s if top else f"({s})"
-
-    return go(word, True)
 
 
 @dataclass(frozen=True)
@@ -228,12 +215,17 @@ def _parse_run(s: str, pos: int, alphabet: Alphabet) -> tuple[Word, int]:
 def render(word: Word, alphabet: Alphabet) -> str:
     """Inverse of :func:`parse`: letters bare, every composite factor
     parenthesized, the top level bare.  The identity word renders as ``1``."""
+    return _spell(word, alphabet.name)
+
+
+def _spell(word: Word, name: Callable[[int], str]) -> str:
+    # The one tree walk behind render and repr; ``name`` spells a letter rank.
     if word.size == 0:
         return "1"
 
     def go(w: Word, top: bool) -> str:
         if isinstance(w, Letter):
-            return alphabet.name(w.index)
+            return name(w.index)
         s = go(w.left, False) + go(w.right, False)
         return s if top else f"({s})"
 
@@ -318,16 +310,16 @@ def transpose_min(word: Word) -> Word:
     return t if compare(t, tt) <= 0 else tt
 
 
-def is_symmetric(word: Word) -> bool:
-    """Whether the word is an odd palindromic product ``u1 u2 ... um ... u2 u1``
-    with at least three factors.
+def palindromic_splits(word: Word) -> Iterator[tuple[Word, ...]]:
+    """Every odd palindromic product ``u1 u2 ... um ... u2 u1`` with at least
+    three factors whose left-associated word is ``word``, as its factors.
 
     Every left-associated factorization coarsens the spine, so it suffices to
     try each split of the spine into a head run (the candidate ``u1``)
     followed by an even number of single factors.
     """
     if word.size < 3:
-        return False
+        return
     factors = spine_factors(word)
     r = len(factors)
     for j in range(1, r - 1):
@@ -335,8 +327,13 @@ def is_symmetric(word: Word) -> bool:
             continue
         candidate = (left_assoc(factors[:j]),) + factors[j:]
         if candidate == candidate[::-1]:
-            return True
-    return False
+            yield candidate
+
+
+def is_symmetric(word: Word) -> bool:
+    """Whether the word is an odd palindromic product ``u1 u2 ... um ... u2 u1``
+    with at least three factors."""
+    return any(palindromic_splits(word))
 
 
 def subwords(word: Word) -> frozenset[Word]:

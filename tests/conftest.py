@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from bol2 import Alphabet, BasisCache
+from bol2 import SHARED_CACHE, Alphabet
 
 settings.register_profile(
     "suite",
@@ -22,6 +22,14 @@ def abc() -> Alphabet:
 
 
 @pytest.fixture()
-def fresh_cache() -> BasisCache:
-    """A cache with no shared state, for tests about cache behaviour itself."""
-    return BasisCache()
+def fresh_cache():
+    """The shared memo tables, emptied for one test about cache behaviour
+    itself and refilled with their old entries after it."""
+    tables = vars(SHARED_CACHE).values()
+    saved = [dict(table) for table in tables]
+    for table in tables:
+        table.clear()
+    yield SHARED_CACHE
+    for table, entries in zip(tables, saved):
+        table.clear()
+        table.update(entries)

@@ -5,7 +5,6 @@ from hypothesis import given
 
 from bol2 import (
     IDENTITY,
-    BasisCache,
     basis_by_fixpoint,
     compare,
     enumerate_basis,
@@ -23,6 +22,7 @@ from bol2 import (
     transpose_family,
     why_not_in_loop,
 )
+from bol2.basis import BudgetExceeded, deadline_after
 from bol2.words import word_key
 
 from helpers import ABC, all_words_up_to, candidate_brute, word_strategy
@@ -150,13 +150,22 @@ class TestDiagnostics:
             assert (why_not_in_loop(w, ab) is None) == in_loop(w), render(w, ab)
 
 
-class TestCaching:
-    def test_fresh_cache_matches_shared(self, ab, fresh_cache):
-        for w in all_words_up_to(ab, 5):
-            assert in_basis(w, fresh_cache) == in_basis(w)
-            assert in_loop(w, fresh_cache) == in_loop(w)
+class TestDeadline:
+    @pytest.mark.parametrize(
+        "enumerate_kind", [enumerate_candidates, enumerate_basis, enumerate_loop_words]
+    )
+    def test_passed_deadline_stops_the_scan(self, ab, enumerate_kind):
+        with pytest.raises(BudgetExceeded):
+            enumerate_kind(ab, 5, deadline=deadline_after(0))
 
+    def test_distant_deadline_changes_nothing(self, ab):
+        later = deadline_after(60_000)
+        assert enumerate_loop_words(ab, 6, deadline=later) == enumerate_loop_words(ab, 6)
+
+
+class TestCaching:
     def test_cache_fills_on_use(self, ab, fresh_cache):
         assert not fresh_cache.basis
-        in_basis(parse("((ba)b)a", ab), fresh_cache)
-        assert fresh_cache.basis
+        w = parse("((ba)b)a", ab)
+        assert in_basis(w)
+        assert fresh_cache.basis[w] is True

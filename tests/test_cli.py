@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from bol2 import InternalInvariantError, cli
 from bol2.cli import main
 
 
@@ -190,6 +191,31 @@ class TestExitCodes:
         assert code == 4 and "budget" in err
         code, _, err = run(capsys, "enum", "D", "--max-len", "6", "--budget", "0")
         assert code == 4 and "budget" in err
+
+    def test_ldiv_budget_exhaustion_is_4(self, capsys):
+        # Without the budget this search lists the carrier up to length 14.
+        code, out, err = run(
+            capsys, "ldiv", "(b(ba))a", "((((b(ba))a)b)a)b", "--budget", "0"
+        )
+        assert (code, out) == (4, "")
+        assert err == "error: wall-clock budget exhausted\n"
+
+    def test_too_deep_input_is_5(self, capsys):
+        right_comb = "a(" * 3000 + "b" + ")" * 3000
+        code, out, err = run(capsys, "normalize", right_comb)
+        assert (code, out) == (5, "")
+        assert err == "error: input too large for this process (RecursionError)\n"
+
+    def test_internal_invariant_failure_is_6(self, capsys, monkeypatch):
+        def broken(x, y):
+            raise InternalInvariantError("form does not denote its element")
+
+        monkeypatch.setattr(cli, "mul", broken)
+        code, out, err = run(capsys, "mul", "a", "b")
+        assert (code, out) == (6, "")
+        assert err == (
+            "error: internal invariant failed: form does not denote its element\n"
+        )
 
     def test_canon_of_identity_is_2(self, capsys):
         code, _, err = run(capsys, "canon", "1")

@@ -10,7 +10,6 @@ import pytest
 
 from bol2 import (
     IDENTITY,
-    BasisCache,
     PalindromicForm,
     element_order_two,
     enumerate_basis,
@@ -116,9 +115,12 @@ class TestSymmetricForm:
 
     def test_memoized_per_cache(self, ab, fresh_cache):
         w = parse("ab", ab)
-        first = symmetric_form(w, fresh_cache)
-        assert symmetric_form(w, fresh_cache) is first
-        assert symmetric_form(w, BasisCache()).half == first.half
+        first = symmetric_form(w)
+        assert fresh_cache.forms[w] is first
+        assert symmetric_form(w) is first
+        fresh_cache.forms.clear()
+        again = symmetric_form(w)
+        assert again is not first and again.half == first.half
 
 
 class TestPalindromicForm:

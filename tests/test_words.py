@@ -95,6 +95,14 @@ class TestParseRender:
     def test_round_trip_is_identity(self, w):
         assert parse(render(w, ABC), ABC) is w
 
+    def test_render_rejects_letters_outside_the_alphabet_but_repr_does_not(self, ab):
+        w = Product(parse("b", ab), Letter(27))
+        with pytest.raises(ValueError, match="outside alphabet"):
+            render(w, ab)
+        assert repr(w) == "Word('bx27')"
+        assert repr(Product(w, Letter(2))) == "Word('(bx27)c')"
+        assert repr(IDENTITY) == "Word('1')"
+
     def test_identity_only_stands_alone(self, ab):
         with pytest.raises(WordSyntaxError):
             parse("a1", ab)
