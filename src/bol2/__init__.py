@@ -21,7 +21,6 @@ from .basis import (
 )
 from .loop import (
     PalindromicForm,
-    element_order_two,
     ldiv,
     mul,
     rdiv,
@@ -53,18 +52,14 @@ from .words import (
     Word,
     WordSyntaxError,
     compare,
-    enumerate_words,
     fine_factors,
     is_symmetric,
     left_assoc,
     parse,
     render,
     spine_factors,
-    subwords,
     transpose,
     transpose_family,
-    transpose_min,
-    transpose_twice,
     word_key,
 )
 

@@ -59,7 +59,6 @@ __all__ = [
     "mul",
     "rdiv",
     "ldiv",
-    "element_order_two",
 ]
 
 
@@ -229,8 +228,3 @@ def ldiv(
             return x
     return None
 
-
-def element_order_two(x: Word) -> bool:
-    """Whether the element squares to the identity (true for every carrier
-    element; the identity word trivially included)."""
-    return mul(x, x).size == 0

@@ -10,9 +10,10 @@ work:
               = a      if u == (a v) for some a,
               = (u v)  otherwise (and that word is always reduced).
 
-Both predicates here are memoized on word identity (words are interned), so
-normalizing costs linear time in the number of distinct subtrees.  CPython's
-GIL makes the shared dict memos safe to use across threads.
+Reducedness is a field of the word (:attr:`Word.reduced`), set from the two
+children when a product is built, so testing it costs constant time and
+normalizing a word descends only into its non-reduced subtrees.  Nothing
+here keeps a table of its own.
 """
 
 from __future__ import annotations
@@ -38,28 +39,10 @@ class InternalInvariantError(RuntimeError):
     """
 
 
-_REDUCED: dict[Word, bool] = {}
-_NORMAL: dict[Word, Word] = {}
-
-
 def is_reduced(word: Word) -> bool:
     """No subtree of shape ``uu`` or ``(uv)v``; letters and the identity word
     count as reduced."""
-    if word.size < 2:
-        return True
-    try:
-        return _REDUCED[word]
-    except KeyError:
-        pass
-    u, v = word.left, word.right
-    ok = (
-        u is not v
-        and not (isinstance(u, Product) and u.right is v)
-        and is_reduced(u)
-        and is_reduced(v)
-    )
-    _REDUCED[word] = ok
-    return ok
+    return word.reduced
 
 
 def reduce_product(u: Word, v: Word) -> Word:
@@ -75,25 +58,16 @@ def reduce_product(u: Word, v: Word) -> Word:
     w = Product(u, v)
     # With reduced factors the two collapses above are the only possible
     # violations, both at the new root.
-    if not is_reduced(w):
+    if not w.reduced:
         raise InternalInvariantError(f"product of reduced words is not reduced: {w!r}")
     return w
 
 
 def normal_form(word: Word) -> Word:
     """The reduced word obtained by collapsing all squares, bottom-up."""
-    if word.size < 2:
+    if word.reduced:
         return word
-    try:
-        return _NORMAL[word]
-    except KeyError:
-        pass
-    if is_reduced(word):
-        result = word
-    else:
-        result = reduce_product(normal_form(word.left), normal_form(word.right))
-    _NORMAL[word] = result
-    return result
+    return reduce_product(normal_form(word.left), normal_form(word.right))
 
 
 def normal_form_chain(head: Word, factors: Iterable[Word]) -> Word:

@@ -16,7 +16,9 @@ factor.
 
 Words are interned: building the same tree twice yields the *same* object,
 so equality is ``is``, hashing is by id, and the memo tables of the layers
-above (normal forms, basis membership, canonical forms) are plain dicts.
+above (basis membership, canonical forms) are plain dicts.  Each word also
+carries its size and whether it is reduced (no subtree ``uu`` or ``(uv)v``);
+a product computes both from its two children when it is first built.
 
 >>> ab = Alphabet("ab")
 >>> w = parse("((ba)b)a", ab)
@@ -29,7 +31,7 @@ above (normal forms, basis membership, canonical forms) are plain dicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache
+from functools import cmp_to_key
 from typing import Callable, Iterable, Iterator
 
 __all__ = [
@@ -45,15 +47,11 @@ __all__ = [
     "spine_factors",
     "fine_factors",
     "transpose",
-    "transpose_twice",
     "transpose_family",
-    "transpose_min",
     "palindromic_splits",
     "is_symmetric",
-    "subwords",
     "compare",
     "word_key",
-    "enumerate_words",
 ]
 
 
@@ -69,6 +67,7 @@ class Word:
     __slots__ = ()
 
     size: int  # number of letters (0 for the identity word)
+    reduced: bool  # no subtree of shape ``uu`` or ``(uv)v``
 
     def __repr__(self) -> str:
         return f"Word({_spell(self, _debug_name)!r})"
@@ -77,6 +76,7 @@ class Word:
 class _Identity(Word):
     __slots__ = ()
     size = 0
+    reduced = True
 
 
 IDENTITY: Word = _Identity()
@@ -88,6 +88,7 @@ class Letter(Word):
 
     __slots__ = ("index",)
     size = 1
+    reduced = True
 
     _interned: dict[int, "Letter"] = {}
 
@@ -107,7 +108,7 @@ class Letter(Word):
 class Product(Word):
     """The word ``(uv)``.  Neither factor may be the identity word."""
 
-    __slots__ = ("left", "right", "size")
+    __slots__ = ("left", "right", "size", "reduced")
 
     _interned: dict[tuple[int, int], "Product"] = {}
 
@@ -122,6 +123,13 @@ class Product(Word):
         self.left = left
         self.right = right
         self.size = left.size + right.size
+        # The root is the only new subtree, so only it can add a violation.
+        self.reduced = (
+            left.reduced
+            and right.reduced
+            and left is not right
+            and not (isinstance(left, Product) and left.right is right)
+        )
         # Children are referenced by the new node (and the intern table keeps
         # every word alive), so keying on object ids is stable.
         cls._interned[id(left), id(right)] = self
@@ -220,16 +228,20 @@ def render(word: Word, alphabet: Alphabet) -> str:
 
 def _spell(word: Word, name: Callable[[int], str]) -> str:
     # The one tree walk behind render and repr; ``name`` spells a letter rank.
+    # An explicit stack of pending right factors and closing parentheses, so
+    # the depth of a word is not bounded by the recursion limit.
     if word.size == 0:
         return "1"
-
-    def go(w: Word, top: bool) -> str:
-        if isinstance(w, Letter):
-            return name(w.index)
-        s = go(w.left, False) + go(w.right, False)
-        return s if top else f"({s})"
-
-    return go(word, True)
+    parts: list[str] = []
+    stack: list = [word.right, word.left] if isinstance(word, Product) else [word]
+    while stack:
+        w = stack.pop()
+        while isinstance(w, Product):
+            parts.append("(")
+            stack += (")", w.right)
+            w = w.left
+        parts.append(w if isinstance(w, str) else name(w.index))
+    return "".join(parts)
 
 
 def left_assoc(factors: Iterable[Word]) -> Word:
@@ -263,8 +275,8 @@ def spine_factors(word: Word) -> tuple[Word, ...]:
 def fine_factors(word: Word) -> tuple[Word, ...]:
     """The spine with its last factor unfolded into its own reversed spine.
 
-    This is exactly the spine of :func:`transpose_twice`, i.e. the finest
-    decomposition reachable by transposing."""
+    This is exactly the spine of ``transpose(transpose(word))``, i.e. the
+    finest decomposition reachable by transposing."""
     factors = spine_factors(word)
     return factors[:-1] + spine_factors(factors[-1])[::-1]
 
@@ -272,12 +284,6 @@ def fine_factors(word: Word) -> tuple[Word, ...]:
 def transpose(word: Word) -> Word:
     """Reverse the spine: ``v1 v2 ... vm  ->  vm ... v2 v1``."""
     return left_assoc(spine_factors(word)[::-1])
-
-
-def transpose_twice(word: Word) -> Word:
-    """``transpose(transpose(word))``; fixes ``word`` exactly when its last
-    spine factor is a letter."""
-    return transpose(transpose(word))
 
 
 def transpose_family(word: Word) -> frozenset[Word]:
@@ -300,14 +306,6 @@ def transpose_family(word: Word) -> frozenset[Word]:
         tail = left_assoc(fine[i - 1:][::-1])
         family.add(Product(left_assoc(fine[: i - 1]), tail))
     return frozenset(family)
-
-
-def transpose_min(word: Word) -> Word:
-    """The order-minimum of the two transposes (equivalently, of the whole
-    transpose family)."""
-    t = transpose(word)
-    tt = transpose(t)
-    return t if compare(t, tt) <= 0 else tt
 
 
 def palindromic_splits(word: Word) -> Iterator[tuple[Word, ...]]:
@@ -336,22 +334,6 @@ def is_symmetric(word: Word) -> bool:
     return any(palindromic_splits(word))
 
 
-def subwords(word: Word) -> frozenset[Word]:
-    """Every subtree of the word, the word itself included."""
-    if word.size == 0:
-        raise ValueError("the identity word has no subwords")
-    seen: set[Word] = set()
-    stack = [word]
-    while stack:
-        w = stack.pop()
-        if w in seen:
-            continue
-        seen.add(w)
-        if isinstance(w, Product):
-            stack += (w.left, w.right)
-    return frozenset(seen)
-
-
 def compare(u: Word, v: Word) -> int:
     """Total order on words: shorter first; same-length letters by rank;
     same-length composites by right factor, then left.  Returns -1, 0, or 1.
@@ -369,23 +351,3 @@ def compare(u: Word, v: Word) -> int:
 
 word_key = cmp_to_key(compare)
 """Sort key for :func:`compare` (use as ``sorted(words, key=word_key)``)."""
-
-
-@lru_cache(maxsize=None)
-def _all_words(n_letters: int, size: int) -> tuple[Word, ...]:
-    if size == 1:
-        return tuple(Letter(i) for i in range(n_letters))
-    out: list[Word] = []
-    for left_size in range(1, size):
-        for left in _all_words(n_letters, left_size):
-            for right in _all_words(n_letters, size - left_size):
-                out.append(Product(left, right))
-    return tuple(out)
-
-
-def enumerate_words(alphabet: Alphabet, size: int) -> tuple[Word, ...]:
-    """Every word with exactly ``size`` letters over the alphabet
-    (Catalan(size-1) * n**size of them)."""
-    if size < 1:
-        raise ValueError("word size must be at least 1")
-    return _all_words(len(alphabet), size)

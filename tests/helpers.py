@@ -8,6 +8,7 @@ is evidence and not tautology.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from hypothesis import strategies as st
@@ -15,20 +16,18 @@ from hypothesis import strategies as st
 from bol2 import (
     IDENTITY,
     Alphabet,
+    Letter,
     Product,
     Word,
     compare,
     enumerate_basis,
-    enumerate_words,
     is_reduced,
     left_assoc,
     normal_form,
     normal_form_chain,
     reduce_product,
-    subwords,
     transpose,
     transpose_family,
-    transpose_twice,
 )
 
 AB = Alphabet("ab")
@@ -42,6 +41,26 @@ def word_strategy(alphabet: Alphabet, max_size: int = 6):
         letters, lambda children: st.builds(Product, children, children),
         max_leaves=max_size,
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _all_words(n_letters: int, size: int) -> tuple[Word, ...]:
+    if size == 1:
+        return tuple(Letter(i) for i in range(n_letters))
+    return tuple(
+        Product(left, right)
+        for left_size in range(1, size)
+        for left in _all_words(n_letters, left_size)
+        for right in _all_words(n_letters, size - left_size)
+    )
+
+
+def enumerate_words(alphabet: Alphabet, size: int) -> tuple[Word, ...]:
+    """Every word with exactly ``size`` letters over the alphabet
+    (Catalan(size-1) * n**size of them)."""
+    if size < 1:
+        raise ValueError("word size must be at least 1")
+    return _all_words(len(alphabet), size)
 
 
 def all_words_up_to(alphabet: Alphabet, max_len: int) -> list[Word]:
@@ -76,6 +95,29 @@ def distinct_runs(pool, length: int):
 
 # ---------------------------------------------------------------------------
 # literal re-implementations
+
+
+def subwords(word: Word) -> frozenset[Word]:
+    """Every subtree of the word, the word itself included; an explicit
+    stack, so any depth works."""
+    if word.size == 0:
+        raise ValueError("the identity word has no subwords")
+    seen: set[Word] = set()
+    stack = [word]
+    while stack:
+        w = stack.pop()
+        if w in seen:
+            continue
+        seen.add(w)
+        if isinstance(w, Product):
+            stack += (w.left, w.right)
+    return frozenset(seen)
+
+
+def transpose_twice(word: Word) -> Word:
+    """``transpose(transpose(word))``; fixes ``word`` exactly when its last
+    spine factor is a letter."""
+    return transpose(transpose(word))
 
 
 def reduced_brute(word: Word) -> bool:

@@ -206,6 +206,11 @@ class TestExitCodes:
         assert (code, out) == (5, "")
         assert err == "error: input too large for this process (RecursionError)\n"
 
+    def test_long_flat_run_is_not_too_deep(self, capsys):
+        code, out, err = run(capsys, "normalize", "ab" * 2000)
+        assert (code, err) == (0, "")
+        assert out.replace("(", "").replace(")", "") == "ab" * 2000 + "\n"
+
     def test_internal_invariant_failure_is_6(self, capsys, monkeypatch):
         def broken(x, y):
             raise InternalInvariantError("form does not denote its element")

@@ -1,6 +1,8 @@
 """The reduction map: collapses of uu and (uv)v, exhaustively cross-checked
 against a literal no-shortcut recursion, plus its algebraic laws."""
 
+import functools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -174,3 +176,20 @@ def test_enumerate_reduced_counts_and_exactness(ab):
         assert all(w.size == n and is_reduced(w) for w in produced)
         brute = [w for w in all_words_up_to(ab, n) if w.size == n and reduced_brute(w)]
         assert set(produced) == set(brute)
+
+
+@pytest.mark.parametrize("shape", ["left", "right"])
+def test_deep_combs_need_no_recursion(shape):
+    # 10,000 letters deep: far past the interpreter's recursion limit, so
+    # reducedness and the normal form of a reduced word must not recurse.
+    a, b = AB.letters
+    if shape == "left":
+        w = left_assoc([a, b] * 5000)
+    else:
+        w = functools.reduce(lambda acc, x: Product(x, acc), [b, a] * 4999 + [b], a)
+    assert w.size == 10_000
+    assert is_reduced(w) == reduced_brute(w)
+    assert normal_form(w) is w
+    square = Product(Product(w, a), a)
+    assert is_reduced(square) == reduced_brute(square)
+    assert normal_form(square) is w

@@ -5,9 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bol2 import enumerate_words
-
-from helpers import AB, ABC
+from helpers import AB, ABC, enumerate_words
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
