@@ -14,19 +14,22 @@ the basis; the *carrier* consists of the identity word plus every reduced
 word whose spine factors are basis members.  Letters are candidates (and
 basis members) by convention.
 
-Membership does not depend on the alphabet — only letter ranks matter — so
-its memo tables, and the canonical-form table of :mod:`.loop`, live in one
-process-wide owner, :data:`SHARED_CACHE`.  As the lowest layer that
-enumerates, this module also owns the wall-clock budget (:func:`budgeted`).
+Whether the word is reduced and whether its last spine factor (its right
+child) is a letter are two field reads.  So the candidate test keeps no
+table, and only the words that pass those reads are memoized for basis
+membership.  Membership does not depend on the alphabet — only letter ranks
+matter — so that table, and the canonical-form table of :mod:`.loop`, live
+in one process-wide owner, :data:`SHARED_CACHE`.  As the lowest layer that
+enumerates, this module also owns the wall-clock budget (:func:`budgeted`)
+and the cache of complete length levels of reduced words.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from functools import lru_cache
 from types import SimpleNamespace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .normalize import is_reduced, normal_form
 from .words import (
@@ -59,11 +62,12 @@ __all__ = [
 ]
 
 
-SHARED_CACHE = SimpleNamespace(candidate={}, basis={}, forms={})
-"""The one owner of the memo tables keyed by word: ``candidate`` and ``basis``
-(membership flags) and ``forms`` (canonical forms of :mod:`.loop`).  Code
-reads each table through this object on every call, never through an alias,
-so a table may be replaced at run time."""
+SHARED_CACHE = SimpleNamespace(basis={}, forms={})
+"""The one owner of the memo tables keyed by word: ``basis`` (membership
+flags of the words that pass the O(1) shape test of :func:`is_candidate`)
+and ``forms`` (canonical forms of :mod:`.loop`).  Code reads each table
+through this object on every call, never through an alias, so a table may
+be replaced at run time."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -95,28 +99,25 @@ def is_candidate(word: Word) -> bool:
 
     Length-1 words are candidates by convention; the identity word is not.
     """
-    if word.size == 0:
+    if word.size < 2:
+        return word.size == 1
+    # A composite candidate is reduced and its last spine factor, the right
+    # child, is a letter: two field reads reject most words outright.
+    if not (word.reduced and word.right.size == 1):
         return False
-    if word.size == 1:
-        return True
-    try:
-        return SHARED_CACHE.candidate[word]
-    except KeyError:
-        pass
-    ok = False
-    if is_reduced(word) and spine_factors(word)[-1].size == 1:
-        t = transpose(word)
-        ok = t is not word and is_reduced(t) and compare(word, t) < 0
-    SHARED_CACHE.candidate[word] = ok
-    return ok
+    t = transpose(word)
+    return t is not word and t.reduced and compare(word, t) < 0
 
 
 def in_basis(word: Word) -> bool:
-    """Basis membership: a candidate whose spine factors are all in the basis."""
-    if word.size == 0:
+    """Basis membership: a candidate whose spine factors are all in the basis.
+
+    Only words that pass the shape test of :func:`is_candidate` are memoized.
+    """
+    if word.size < 2:
+        return word.size == 1
+    if not (word.reduced and word.right.size == 1):
         return False
-    if word.size == 1:
-        return True
     try:
         return SHARED_CACHE.basis[word]
     except KeyError:
@@ -147,20 +148,47 @@ def why_not_in_loop(word: Word, alphabet: Alphabet) -> str | None:
     return None
 
 
-@lru_cache(maxsize=None)
-def _reduced_words(n_letters: int, size: int) -> tuple[Word, ...]:
+_reduced_words: dict[tuple[int, int], tuple[Word, ...]] = {}
+"""Complete levels of reduced words, keyed by (number of letters, size).
+A level stopped by a deadline part way through is never stored."""
+
+
+def _level(n_letters: int, size: int, deadline: float | None = None) -> Iterable[Word]:
+    """The reduced words of one size: the cached level, else the level built
+    and cached at once, or with a deadline a stream that builds it word by
+    word and caches it only once it has run to the end."""
+    try:
+        return _reduced_words[n_letters, size]
+    except KeyError:
+        pass
+    stream = _built_level(n_letters, size)
+    if deadline is not None:
+        return stream
+    for _ in stream:
+        pass
+    return _reduced_words[n_letters, size]
+
+
+def _built_level(n_letters: int, size: int) -> Iterator[Word]:
+    # Shorter levels are read whole through _level; only this one is partial
+    # until the loop ends.
     if size == 1:
-        return tuple(Letter(i) for i in range(n_letters))
-    out: list[Word] = []
-    for left_size in range(1, size):
-        for left in _reduced_words(n_letters, left_size):
-            for right in _reduced_words(n_letters, size - left_size):
-                if left is right:
-                    continue
-                if isinstance(left, Product) and left.right is right:
-                    continue
-                out.append(Product(left, right))
-    return tuple(out)
+        built = [Letter(i) for i in range(n_letters)]
+        yield from built
+    else:
+        built = []
+        for left_size in range(1, size):
+            rights = _level(n_letters, size - left_size)
+            for left in _level(n_letters, left_size):
+                for right in rights:
+                    if left is right:
+                        continue
+                    if isinstance(left, Product) and left.right is right:
+                        continue
+                    w = Product(left, right)
+                    built.append(w)
+                    yield w
+    _reduced_words[n_letters, size] = tuple(built)
 
 
 def enumerate_reduced(alphabet: Alphabet, size: int) -> tuple[Word, ...]:
@@ -168,7 +196,7 @@ def enumerate_reduced(alphabet: Alphabet, size: int) -> tuple[Word, ...]:
     two square collapses pruned at the root of each product."""
     if size < 1:
         raise ValueError("word size must be at least 1")
-    return _reduced_words(len(alphabet), size)
+    return _level(len(alphabet), size)
 
 
 def enumerate_filtered(
@@ -180,9 +208,11 @@ def enumerate_filtered(
 ) -> list[Word]:
     """Reduced words of length at most ``max_len`` that satisfy ``keep``,
     sorted by the word order.  With a deadline the scan checks it before
-    each word and raises :class:`BudgetExceeded` once it has passed."""
+    each word, also while a level is still being built, and raises
+    :class:`BudgetExceeded` once it has passed."""
+    n_letters = len(alphabet)
     scanned = itertools.chain.from_iterable(
-        enumerate_reduced(alphabet, n) for n in range(1, max_len + 1)
+        _level(n_letters, n, deadline) for n in range(1, max_len + 1)
     )
     out = [w for w in budgeted(scanned, deadline) if keep(w)]
     out.sort(key=word_key)

@@ -12,8 +12,8 @@ work:
 
 Reducedness is a field of the word (:attr:`Word.reduced`), set from the two
 children when a product is built, so testing it costs constant time and
-normalizing a word descends only into its non-reduced subtrees.  Nothing
-here keeps a table of its own.
+normalizing a word descends only into its non-reduced subtrees (with an
+explicit stack, not recursion).  Nothing here keeps a table of its own.
 """
 
 from __future__ import annotations
@@ -67,7 +67,21 @@ def normal_form(word: Word) -> Word:
     """The reduced word obtained by collapsing all squares, bottom-up."""
     if word.reduced:
         return word
-    return reduce_product(normal_form(word.left), normal_form(word.right))
+    # Post-order over the non-reduced subtrees with an explicit stack, so the
+    # depth of a word is not bounded by the recursion limit.  ``None`` marks
+    # a node whose two children's normal forms are the last two results.
+    done: list[Word] = []
+    todo: list[Word | None] = [word]
+    while todo:
+        w = todo.pop()
+        if w is None:
+            v = done.pop()
+            done.append(reduce_product(done.pop(), v))
+        elif w.reduced:
+            done.append(w)
+        else:
+            todo += (None, w.right, w.left)
+    return done[0]
 
 
 def normal_form_chain(head: Word, factors: Iterable[Word]) -> Word:

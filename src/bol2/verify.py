@@ -367,14 +367,15 @@ def check_transversal(
         if v.size == 0:
             continue  # already in the stabilizer; nothing to decompose
         sw = s_word(gw)
-        label = "*".join(render(g, alphabet) for g in run)
         if act(IDENTITY, sw) is not v:
-            report.failures.append(
-                f"palindromic word of {label} denotes the wrong element"
-            )
+            failure = "palindromic word of {} denotes the wrong element"
         elif act(IDENTITY, group_mul(gw, sw)).size != 0:
-            report.failures.append(
-                f"{label} * its palindromic word does not stabilize the identity"
-            )
+            failure = "{} * its palindromic word does not stabilize the identity"
+        else:
+            continue
+        # Rendered only here: a label for every case cost about 5% of a check.
+        report.failures.append(
+            failure.format("*".join(render(g, alphabet) for g in run))
+        )
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report

@@ -15,8 +15,9 @@ reverses the finer decomposition obtained by also unfolding the last spine
 factor.
 
 Words are interned: building the same tree twice yields the *same* object,
-so equality is ``is``, hashing is by id, and the memo tables of the layers
-above (basis membership, canonical forms) are plain dicts.  Each word also
+so equality is ``is``, hashing is by id, the intern table of products is
+keyed by the pair of children, and the memo tables of the layers above
+(basis membership, canonical forms) are plain dicts.  Each word also
 carries its size and whether it is reduced (no subtree ``uu`` or ``(uv)v``);
 a product computes both from its two children when it is first built.
 
@@ -110,11 +111,11 @@ class Product(Word):
 
     __slots__ = ("left", "right", "size", "reduced")
 
-    _interned: dict[tuple[int, int], "Product"] = {}
+    _interned: dict[tuple[Word, Word], "Product"] = {}
 
     def __new__(cls, left: Word, right: Word) -> "Product":
         try:
-            return cls._interned[id(left), id(right)]
+            return cls._interned[left, right]
         except KeyError:
             pass
         if left.size == 0 or right.size == 0:
@@ -130,9 +131,9 @@ class Product(Word):
             and left is not right
             and not (isinstance(left, Product) and left.right is right)
         )
-        # Children are referenced by the new node (and the intern table keeps
-        # every word alive), so keying on object ids is stable.
-        cls._interned[id(left), id(right)] = self
+        # Words hash and compare by identity, so the pair of children is the
+        # key itself: no id integers are boxed per entry or per lookup.
+        cls._interned[left, right] = self
         return self
 
 
@@ -342,11 +343,23 @@ def compare(u: Word, v: Word) -> int:
     """
     if u is v:
         return 0
-    if u.size != v.size:
-        return -1 if u.size < v.size else 1
-    if isinstance(u, Letter):
-        return -1 if u.index < v.index else 1
-    return compare(u.right, v.right) or compare(u.left, v.left)
+    # Right children first; the left children wait on an explicit stack, so
+    # the depth of a word is not bounded by the recursion limit.
+    pending: list[Word] = []
+    while True:
+        if u.size != v.size:
+            return -1 if u.size < v.size else 1
+        if u.size == 1:
+            return -1 if u.index < v.index else 1
+        pending.append(u.left)
+        pending.append(v.left)
+        u = u.right
+        v = v.right
+        while u is v:
+            if not pending:
+                return 0
+            v = pending.pop()
+            u = pending.pop()
 
 
 word_key = cmp_to_key(compare)

@@ -5,11 +5,15 @@ from hypothesis import given
 
 from bol2 import (
     IDENTITY,
+    SHARED_CACHE,
+    Alphabet,
+    basis,
     basis_by_fixpoint,
     compare,
     enumerate_basis,
     enumerate_candidates,
     enumerate_loop_words,
+    enumerate_reduced,
     in_basis,
     in_loop,
     is_candidate,
@@ -22,7 +26,7 @@ from bol2 import (
     transpose_family,
     why_not_in_loop,
 )
-from bol2.basis import BudgetExceeded, deadline_after
+from bol2.basis import BudgetExceeded, deadline_after, enumerate_filtered
 from bol2.words import word_key
 
 from helpers import ABC, all_words_up_to, candidate_brute, word_strategy
@@ -163,7 +167,59 @@ class TestDeadline:
         assert enumerate_loop_words(ab, 6, deadline=later) == enumerate_loop_words(ab, 6)
 
 
+class TestLevels:
+    def test_a_level_stopped_part_way_is_not_cached(self, monkeypatch):
+        alphabet = Alphabet("pqrstu")  # its levels are built by no other test
+        key = (len(alphabet), 3)
+
+        def stop_after_50(items, deadline):
+            for i, item in enumerate(items):
+                if i == 50:
+                    raise BudgetExceeded("wall-clock budget exhausted")
+                yield item
+
+        # 6 letters and 30 words of length 2 come before the cut.
+        monkeypatch.setattr(basis, "budgeted", stop_after_50)
+        with pytest.raises(BudgetExceeded):
+            enumerate_filtered(alphabet, 3, bool, deadline=deadline_after(60_000))
+        assert (len(alphabet), 2) in basis._reduced_words
+        assert key not in basis._reduced_words
+        monkeypatch.undo()
+        words = enumerate_filtered(alphabet, 3, bool, deadline=deadline_after(60_000))
+        assert basis._reduced_words[key] == enumerate_reduced(alphabet, 3)
+        assert len(words) == 6 + 30 + len(basis._reduced_words[key])
+
+
 class TestCaching:
+    def test_shared_cache_has_no_candidate_table(self):
+        assert not hasattr(SHARED_CACHE, "candidate")
+        assert set(vars(SHARED_CACHE)) == {"basis", "forms"}
+
+    def test_shape_test_leaves_no_entry(self, ab, fresh_cache):
+        w = parse("a(ab)", ab)  # reduced, but its right child is no letter
+        assert not in_basis(w)
+        assert not is_candidate(w)
+        assert not fresh_cache.basis
+
+    def test_only_words_ending_in_a_letter_are_memoized(self, ab, fresh_cache):
+        enumerate_basis(ab, 8)
+        scanned = [w for n in range(2, 9) for w in enumerate_reduced(ab, n)]
+        shaped = {w for w in scanned if w.right.size == 1}
+        assert len(scanned) == 16_398
+        assert set(fresh_cache.basis) == shaped
+        assert len(shaped) < len(scanned) // 2
+
+    @pytest.mark.parametrize("letters,max_len", [("ab", 7), ("abc", 5)])
+    def test_cold_membership_matches_fixpoint(self, letters, max_len, fresh_cache):
+        alphabet = Alphabet(letters)
+        members = basis_by_fixpoint(alphabet, max_len)  # fills no table
+        assert not fresh_cache.basis
+        # Longest first, so that the recursion into spine factors meets
+        # empty tables.
+        for n in range(max_len, 0, -1):
+            for w in enumerate_reduced(alphabet, n):
+                assert in_basis(w) == (w in members), render(w, alphabet)
+
     def test_cache_fills_on_use(self, ab, fresh_cache):
         assert not fresh_cache.basis
         w = parse("((ba)b)a", ab)

@@ -3,11 +3,14 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from bol2 import InternalInvariantError, cli
+from bol2 import InternalInvariantError, cli, parse, render
 from bol2.cli import main
+
+from helpers import AB
 
 
 def run(capsys, *args):
@@ -210,6 +213,33 @@ class TestExitCodes:
         code, out, err = run(capsys, "normalize", "ab" * 2000)
         assert (code, err) == (0, "")
         assert out.replace("(", "").replace(")", "") == "ab" * 2000 + "\n"
+
+    def test_collapse_under_a_long_flat_run_is_not_too_deep(self, capsys):
+        # The bottom square makes every ancestor unreduced, so the normal
+        # form descends through all 4,002 letters.
+        code, out, err = run(capsys, "normalize", "aa" + "ba" * 2000)
+        assert (code, err) == (0, "")
+        assert out == render(parse("ba" * 2000, AB), AB) + "\n"
+
+    def test_compare_of_long_flat_runs_is_not_too_deep(self, capsys):
+        left, right = "a" + "ba" * 2000, "b" + "ba" * 2000
+        assert run(capsys, "compare", left, right) == (0, "less\n", "")
+        assert run(capsys, "compare", right, left) == (0, "greater\n", "")
+
+    def test_budget_stops_inside_a_length_level(self):
+        # Without a budget this lists every reduced word of up to 11 letters
+        # on ab (about 2.5 million); building length 10 alone takes over a
+        # second, so the deadline must be checked while a level is built.
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "bol2", "enum", "W", "--max-len", "11",
+             "--budget", "300"],
+            capture_output=True, text=True, timeout=60,
+        )
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr == "error: wall-clock budget exhausted\n"
+        assert elapsed < 1.0
 
     def test_internal_invariant_failure_is_6(self, capsys, monkeypatch):
         def broken(x, y):

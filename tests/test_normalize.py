@@ -193,3 +193,13 @@ def test_deep_combs_need_no_recursion(shape):
     square = Product(Product(w, a), a)
     assert is_reduced(square) == reduced_brute(square)
     assert normal_form(square) is w
+
+
+def test_deep_collapse_needs_no_recursion():
+    # The square at the bottom of a 10,002-letter left comb makes every
+    # ancestor unreduced, so the normal form walks the whole depth.
+    a, b = AB.letters
+    w = left_assoc([a, a] + [b, a] * 5000)
+    assert not is_reduced(w)
+    assert normal_form(w) is left_assoc([b, a] * 5000)
+    assert normal_form(Product(w, w)) is IDENTITY

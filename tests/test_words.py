@@ -1,5 +1,7 @@
 """Word construction, parsing, rendering, spines and transposes."""
 
+import functools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -60,6 +62,10 @@ class TestInterning:
     def test_product_is_hash_consed(self, ab):
         x = parse("ab", ab)
         assert Product(x, x.left) is Product(x, x.left)
+
+    def test_intern_table_is_keyed_by_the_children(self, ab):
+        a, b = ab.letters
+        assert Product._interned[a, b] is Product(a, b)
 
     def test_identity_cannot_be_a_child(self):
         with pytest.raises(ValueError):
@@ -222,6 +228,19 @@ class TestCompare:
         assert sorted(enumerate_words(ab, 2), key=word_key) == [
             parse(t, ab) for t in ("aa", "ba", "ab", "bb")
         ]
+
+    @pytest.mark.parametrize("shape", ["left", "right"])
+    def test_deep_words_need_no_recursion(self, ab, shape):
+        # 10,001 letters deep, differing only in the deepest letter.
+        a, b = ab.letters
+        if shape == "left":
+            u, v = (left_assoc([x] + [b, a] * 5000) for x in (a, b))
+        else:
+            u, v = (
+                functools.reduce(lambda acc, y: Product(y, acc), [b, a] * 5000, x)
+                for x in (a, b)
+            )
+        assert (compare(u, v), compare(v, u), compare(u, u)) == (-1, 1, 0)
 
     @given(word_strategy(AB, 6), word_strategy(AB, 6))
     def test_antisymmetry_and_identity_of_equals(self, u, v):
