@@ -154,9 +154,9 @@ A level stopped by a deadline part way through is never stored."""
 
 
 def _level(n_letters: int, size: int, deadline: float | None = None) -> Iterable[Word]:
-    """The reduced words of one size: the cached level, else the level built
-    and cached at once, or with a deadline a stream that builds it word by
-    word and caches it only once it has run to the end."""
+    """The reduced words of one size.  An uncached level is built and cached
+    once built to the end: at once without a deadline, and with one as a
+    stream, so that the caller tests the deadline between its words."""
     try:
         return _reduced_words[n_letters, size]
     except KeyError:
@@ -171,23 +171,20 @@ def _level(n_letters: int, size: int, deadline: float | None = None) -> Iterable
 
 def _built_level(n_letters: int, size: int) -> Iterator[Word]:
     # Shorter levels are read whole through _level; only this one is partial
-    # until the loop ends.
-    if size == 1:
-        built = [Letter(i) for i in range(n_letters)]
-        yield from built
-    else:
-        built = []
-        for left_size in range(1, size):
-            rights = _level(n_letters, size - left_size)
-            for left in _level(n_letters, left_size):
-                for right in rights:
-                    if left is right:
-                        continue
-                    if isinstance(left, Product) and left.right is right:
-                        continue
-                    w = Product(left, right)
-                    built.append(w)
-                    yield w
+    # until the loop ends.  Letters are the level of size 1.
+    built: list[Word] = [Letter(i) for i in range(n_letters)] if size == 1 else []
+    yield from built
+    for left_size in range(1, size):
+        rights = _level(n_letters, size - left_size)
+        for left in _level(n_letters, left_size):
+            for right in rights:
+                if left is right:
+                    continue
+                if isinstance(left, Product) and left.right is right:
+                    continue
+                w = Product(left, right)
+                built.append(w)
+                yield w
     _reduced_words[n_letters, size] = tuple(built)
 
 

@@ -19,6 +19,7 @@ from bol2 import (
     s_word,
     symmetric_form,
 )
+from bol2 import verify
 from bol2.verify import IDENTITY_SUITES
 
 from helpers import distinct_runs
@@ -173,3 +174,22 @@ class TestTransversal:
     def test_budget(self, ab):
         with pytest.raises(BudgetExceeded):
             check_transversal(ab, SampleSpec(max_len=3, max_seq=2), budget_ms=0)
+
+    def test_failure_messages(self, ab, monkeypatch):
+        # Break each step in turn: every one of the 9 group words then fails,
+        # labelled by its generators.
+        spec = SampleSpec(max_len=3, max_seq=2)
+        monkeypatch.setattr(verify, "s_word", lambda g: GroupWord())
+        report = check_transversal(ab, spec)
+        assert report.failures[:4] == [
+            f"palindromic word of {label} denotes the wrong element"
+            for label in ("a", "b", "ba", "a*b")
+        ]
+        assert len(report.failures) == report.cases == 9
+        monkeypatch.undo()
+        monkeypatch.setattr(verify, "group_mul", lambda u, v: u)
+        report = check_transversal(ab, spec)
+        assert report.failures[8] == (
+            "ba*b * its palindromic word does not stabilize the identity"
+        )
+        assert len(report.failures) == 9
