@@ -40,7 +40,6 @@ from .verify import (
     SampleSpec,
     act,
     check_identity_suite,
-    check_transversal,
     group_mul,
     s_word,
 )

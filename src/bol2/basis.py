@@ -74,9 +74,9 @@ class BudgetExceeded(RuntimeError):
     """A command ran past its wall-clock budget."""
 
 
-def deadline_after(budget_ms: float | None) -> float | None:
-    """The deadline ``budget_ms`` milliseconds from now; ``None`` for none."""
-    return None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
+def deadline_after(ms: float | None) -> float | None:
+    """The deadline ``ms`` milliseconds from now; ``None`` for none."""
+    return None if ms is None else time.monotonic() + ms / 1000.0
 
 
 def budgeted(items: Iterable, deadline: float | None) -> Iterable:
@@ -153,39 +153,36 @@ _reduced_words: dict[tuple[int, int], tuple[Word, ...]] = {}
 A level stopped by a deadline part way through is never stored."""
 
 
-def _level(n_letters: int, size: int, deadline: float | None = None) -> Iterable[Word]:
-    """The reduced words of one size.  An uncached level is built and cached
-    once built to the end: at once without a deadline, and with one as a
-    stream, so that the caller tests the deadline between its words."""
+def _level(n_letters: int, size: int, deadline: float | None = None) -> tuple[Word, ...]:
+    """The reduced words of one size, cached once built to the end.  With a
+    deadline the build, and the build of each shorter level it reads, tests
+    it before every word."""
     try:
         return _reduced_words[n_letters, size]
     except KeyError:
         pass
-    stream = _built_level(n_letters, size)
-    if deadline is not None:
-        return stream
-    for _ in stream:
-        pass
-    return _reduced_words[n_letters, size]
+    # Through a list: a tuple grown from a generator goes back to the
+    # youngest garbage-collector generation at each resize and is scanned
+    # again, which costs about a tenth of the build.
+    level = tuple(list(budgeted(_products(n_letters, size, deadline), deadline)))
+    _reduced_words[n_letters, size] = level
+    return level
 
 
-def _built_level(n_letters: int, size: int) -> Iterator[Word]:
-    # Shorter levels are read whole through _level; only this one is partial
-    # until the loop ends.  Letters are the level of size 1.
-    built: list[Word] = [Letter(i) for i in range(n_letters)] if size == 1 else []
-    yield from built
+def _products(n_letters: int, size: int, deadline: float | None) -> Iterator[Word]:
+    # Letters are the level of size 1; a longer word is a product of two
+    # shorter ones, pruned of the two square collapses at its root.
+    if size == 1:
+        yield from map(Letter, range(n_letters))
     for left_size in range(1, size):
-        rights = _level(n_letters, size - left_size)
-        for left in _level(n_letters, left_size):
+        rights = _level(n_letters, size - left_size, deadline)
+        for left in _level(n_letters, left_size, deadline):
             for right in rights:
                 if left is right:
                     continue
                 if isinstance(left, Product) and left.right is right:
                     continue
-                w = Product(left, right)
-                built.append(w)
-                yield w
-    _reduced_words[n_letters, size] = tuple(built)
+                yield Product(left, right)
 
 
 def enumerate_reduced(alphabet: Alphabet, size: int) -> tuple[Word, ...]:

@@ -30,13 +30,7 @@ from .basis import (
 )
 from .loop import ldiv, mul, rdiv, symmetric_form
 from .normalize import InternalInvariantError, normal_form
-from .verify import (
-    CheckReport,
-    IDENTITY_SUITES,
-    SampleSpec,
-    check_identity_suite,
-    check_transversal,
-)
+from .verify import SUITES, CheckReport, SampleSpec, check_identity_suite
 from .words import (
     Alphabet,
     Word,
@@ -209,10 +203,9 @@ def _cmd_check(ns) -> int:
         sample_size=ns.sample,
         seed=ns.seed,
     )
-    if ns.suite == "transversal":
-        report = check_transversal(alphabet, spec, budget_ms=ns.budget)
-    else:
-        report = check_identity_suite(ns.suite, alphabet, spec, budget_ms=ns.budget)
+    report = check_identity_suite(
+        ns.suite, alphabet, spec, deadline=deadline_after(ns.budget)
+    )
     _print_report(ns, report)
     return 0 if report.ok else 1
 
@@ -311,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "check", parents=[common], help="run an identity or structure suite"
     )
-    p.add_argument("suite", choices=IDENTITY_SUITES + ("transversal",))
+    p.add_argument("suite", choices=SUITES)
     p.add_argument("--max-len", type=int, default=3, help="word length bound")
     p.add_argument(
         "--max-seq",

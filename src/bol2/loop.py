@@ -55,6 +55,7 @@ from .words import (
 
 __all__ = [
     "PalindromicForm",
+    "free_reduce",
     "symmetric_form",
     "mul",
     "rdiv",
@@ -95,21 +96,28 @@ def _unfold_wrap(last_factor: Word) -> tuple[Word, ...]:
     return (last_factor,) + spine_factors(last_factor)[::-1]
 
 
+def free_reduce(left: tuple[Word, ...], right: tuple[Word, ...]) -> tuple[Word, ...]:
+    """Concatenate two sequences of involutions, cancelling the equal entries
+    that meet at the seam, pair by pair, up to the first pair that differs."""
+    i, j = len(left), 0
+    while i and j < len(right) and left[i - 1] is right[j]:
+        i -= 1
+        j += 1
+    return left[:i] + right[j:]
+
+
 def _cancel_junction(wrap: tuple[Word, ...], core: tuple[Word, ...]) -> tuple[Word, ...]:
     """Concatenate two half-sequences, cancelling equal entries at the seam.
 
     Inside the full palindrome an equal adjacent pair squares to the identity;
-    when the seam eats through the whole core, the two middle entries merge
-    into one.
+    when the seam eats through the whole core up to its middle entry, the two
+    middle entries merge into one.  A core's adjacent entries are distinct,
+    so the merge can only happen once the rest of the core has cancelled.
     """
-    w = list(wrap)
-    c = list(core)
-    while w and len(c) > 1 and w[-1] is c[0]:
-        w.pop()
-        del c[0]
-    if w and len(c) == 1 and w[-1] is c[0]:
-        del c[0]
-    return tuple(w + c)
+    head = free_reduce(wrap, core[:-1])
+    if head and head[-1] is core[-1]:
+        return head
+    return head + core[-1:]
 
 
 def _palindromic_half(word: Word) -> tuple[Word, ...]:

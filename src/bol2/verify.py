@@ -5,22 +5,27 @@ generators, one per basis word, acting on the carrier by right loop
 multiplication.  A *group word* is a reduced sequence of such generators
 (adjacent entries distinct); it acts by folding.  Words that move the
 identity word to ``v != 1`` can be pushed back into the stabilizer by the
-palindromic word of ``v`` — :func:`check_transversal` verifies exactly that
-decomposition on a bounded universe.
+palindromic word of ``v``.
 
-:func:`check_identity_suite` checks the loop identities themselves:
+:func:`check_identity_suite` is the one check runner; :data:`SUITES` names
+what it checks:
 
-======  ==============================================================
-bol     right Bol law          ``((x y) z) y  =  x ((y z) y)``
-exp2    exponent two           ``x x = 1``
-rip     right inverse property ``(x y) y = x``
-nuclei  no non-identity element associates in the middle with all pairs
+===========  ==========================================================
+bol          right Bol law          ``((x y) z) y  =  x ((y z) y)``
+exp2         exponent two           ``x x = 1``
+rip          right inverse property ``(x y) y = x``
+nuclei       no non-identity element associates in the middle with all
+             pairs
 unique-form  distinct bounded palindromic forms denote distinct elements,
-        and each is the canonical form of its value
-======  ==============================================================
+             and each is the canonical form of its value
+transversal  every group word that moves the identity returns to its
+             stabilizer after the palindromic word of its image
+===========  ==========================================================
 
 Universes are exhaustive when small enough, otherwise a seeded sample; every
-report records what was scanned, so the checks are reproducible.
+report records what was scanned, so the checks are reproducible.  A check
+takes a ``deadline`` (see :func:`~bol2.basis.budgeted`), as the enumerators
+and :func:`~bol2.loop.ldiv` do.
 """
 
 from __future__ import annotations
@@ -29,16 +34,16 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from .basis import (
     BudgetExceeded,
     budgeted,
-    deadline_after,
     enumerate_basis,
     enumerate_loop_words,
     in_basis,
 )
-from .loop import mul, symmetric_form
+from .loop import free_reduce, mul, symmetric_form
 from .normalize import normal_form_chain
 from .words import IDENTITY, Alphabet, Word, render
 
@@ -50,9 +55,8 @@ __all__ = [
     "s_word",
     "SampleSpec",
     "CheckReport",
-    "IDENTITY_SUITES",
+    "SUITES",
     "check_identity_suite",
-    "check_transversal",
 ]
 
 
@@ -85,12 +89,7 @@ class GroupWord:
 
 def group_mul(u: GroupWord, v: GroupWord) -> GroupWord:
     """Concatenate and cancel equal generators meeting at the seam."""
-    a = list(u.gens)
-    j = 0
-    while a and j < len(v.gens) and a[-1] is v.gens[j]:
-        a.pop()
-        j += 1
-    return GroupWord(tuple(a) + v.gens[j:])
+    return GroupWord(free_reduce(u.gens, v.gens))
 
 
 def act(start: Word, gw: GroupWord) -> Word:
@@ -158,17 +157,26 @@ class CheckReport:
         }
 
 
+
+
 def _distinct_runs(pool, length):
     """All tuples over ``pool`` of the given length with adjacent entries
-    distinct."""
-    if length == 0:
-        yield ()
-        return
-    for prefix in _distinct_runs(pool, length - 1):
-        for g in pool:
-            if prefix and prefix[-1] is g:
-                continue
-            yield prefix + (g,)
+    distinct, in the lexicographic order of ``pool``."""
+    for run in itertools.product(pool, repeat=length):
+        if all(a is not b for a, b in zip(run, run[1:])):
+            yield run
+
+
+def _universe(name, spec, base, unit, total, every, draw):
+    """The cases of a check and its report.  All ``total`` cases of ``every``
+    when that is within ``spec.exhaustive_limit``; otherwise
+    ``spec.sample_size`` cases, each ``draw(rng)`` from one seeded RNG."""
+    if total <= spec.exhaustive_limit:
+        return every, CheckReport(name, f"{base}, exhaustive ({total} {unit})")
+    rng = random.Random(spec.seed)
+    sample = (draw(rng) for _ in range(spec.sample_size))
+    label = f"{base}, sample of {spec.sample_size} {unit} (seed {spec.seed})"
+    return sample, CheckReport(name, label, seed=spec.seed)
 
 
 def _bol(x, y, z):
@@ -183,59 +191,19 @@ def _rip(x, y):
     return mul(mul(x, y), y) is x
 
 
-IDENTITY_SUITES = ("bol", "exp2", "rip", "nuclei", "unique-form")
-
-_TUPLE_SUITES = {
-    "bol": (3, _bol, "((x y) z) y = x ((y z) y)"),
-    "exp2": (1, _exp2, "x x = 1"),
-    "rip": (2, _rip, "(x y) y = x"),
-}
-
-
-def check_identity_suite(
-    which: str,
-    alphabet: Alphabet,
-    spec: SampleSpec = SampleSpec(),
-    budget_ms: float | None = None,
-) -> CheckReport:
-    """Run one identity suite (see the module docstring) and report."""
-    deadline = deadline_after(budget_ms)
-    start = time.perf_counter()
-    if which in _TUPLE_SUITES:
-        report = _check_tuple_identity(which, alphabet, spec, deadline)
-    elif which == "nuclei":
-        report = _check_middle_nucleus(alphabet, spec, deadline)
-    elif which == "unique-form":
-        report = _check_unique_form(alphabet, spec, deadline)
-    else:
-        raise ValueError(f"unknown suite {which!r} (choose from {IDENTITY_SUITES})")
-    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return report
-
-
-def _check_tuple_identity(which, alphabet, spec, deadline) -> CheckReport:
-    arity, holds, law = _TUPLE_SUITES[which]
+def _law_suite(arity, holds, law, which, alphabet, spec, deadline) -> CheckReport:
     pool = enumerate_loop_words(alphabet, spec.max_len, deadline=deadline)
-    total = len(pool) ** arity
     names = "xyz"[:arity]
-    base = (
+    tuples, report = _universe(
+        which,
+        spec,
         f"{law} over the {len(pool)} carrier elements of length <= "
-        f"{spec.max_len} on {alphabet.symbols!r}"
+        f"{spec.max_len} on {alphabet.symbols!r}",
+        "tuples",
+        len(pool) ** arity,
+        itertools.product(pool, repeat=arity),
+        lambda rng: tuple(rng.choice(pool) for _ in range(arity)),
     )
-    if total <= spec.exhaustive_limit:
-        tuples = itertools.product(pool, repeat=arity)
-        report = CheckReport(which, f"{base}, exhaustive ({total} tuples)")
-    else:
-        rng = random.Random(spec.seed)
-        tuples = (
-            tuple(rng.choice(pool) for _ in range(arity))
-            for _ in range(spec.sample_size)
-        )
-        report = CheckReport(
-            which,
-            f"{base}, sample of {spec.sample_size} tuples (seed {spec.seed})",
-            seed=spec.seed,
-        )
     for tup in budgeted(tuples, deadline):
         report.cases += 1
         if not holds(*tup):
@@ -246,7 +214,7 @@ def _check_tuple_identity(which, alphabet, spec, deadline) -> CheckReport:
     return report
 
 
-def _check_middle_nucleus(alphabet, spec, deadline) -> CheckReport:
+def _nuclei_suite(which, alphabet, spec, deadline) -> CheckReport:
     """No non-identity element may satisfy ``(x a) y = x (a y)`` for *all*
     ``x, y`` in the bounded universe.  Always exhaustive."""
     pool = enumerate_loop_words(alphabet, spec.max_len, deadline=deadline)
@@ -257,7 +225,7 @@ def _check_middle_nucleus(alphabet, spec, deadline) -> CheckReport:
             f"({total} > limit {spec.exhaustive_limit}); lower max_len"
         )
     report = CheckReport(
-        "nuclei",
+        which,
         f"middle-nucleus scan over the {len(pool)} carrier elements of "
         f"length <= {spec.max_len} on {alphabet.symbols!r}, exhaustive",
     )
@@ -278,13 +246,13 @@ def _check_middle_nucleus(alphabet, spec, deadline) -> CheckReport:
     return report
 
 
-def _check_unique_form(alphabet, spec, deadline) -> CheckReport:
+def _unique_form_suite(which, alphabet, spec, deadline) -> CheckReport:
     """Distinct palindromic halves (entries: basis words of length <=
     ``max_len``; half length <= ``max_seq``) must denote distinct non-identity
     elements, each having that half as its canonical form."""
     gens = enumerate_basis(alphabet, spec.max_len, deadline=deadline)
     report = CheckReport(
-        "unique-form",
+        which,
         f"palindromic halves of length <= {spec.max_seq} over the "
         f"{len(gens)} basis words of length <= {spec.max_len} on "
         f"{alphabet.symbols!r}, exhaustive",
@@ -315,51 +283,32 @@ def _check_unique_form(alphabet, spec, deadline) -> CheckReport:
     return report
 
 
-def check_transversal(
-    alphabet: Alphabet,
-    spec: SampleSpec = SampleSpec(max_len=5),
-    budget_ms: float | None = None,
-) -> CheckReport:
+def _transversal_suite(which, alphabet, spec, deadline) -> CheckReport:
     """Every group word ``g`` moving the identity to ``v != 1`` must return to
     the stabilizer after the palindromic word of ``v``:
     ``act(1, g * s_word(g)) = 1``."""
-    deadline = deadline_after(budget_ms)
-    start = time.perf_counter()
     gens = enumerate_basis(alphabet, spec.max_len, deadline=deadline)
     n = len(gens)
-    total = sum(n * (n - 1) ** (k - 1) for k in range(1, spec.max_seq + 1))
-    base = (
+
+    def draw(rng):
+        run: tuple[Word, ...] = ()
+        for _ in range(rng.randint(1, spec.max_seq)):
+            g = rng.choice(gens)
+            while run and run[-1] is g:
+                g = rng.choice(gens)
+            run += (g,)
+        return run
+
+    runs, report = _universe(
+        which,
+        spec,
         f"group words of <= {spec.max_seq} generators over the {n} basis "
-        f"words of length <= {spec.max_len} on {alphabet.symbols!r}"
+        f"words of length <= {spec.max_len} on {alphabet.symbols!r}",
+        "words",
+        sum(n * (n - 1) ** (k - 1) for k in range(1, spec.max_seq + 1)),
+        (run for k in range(1, spec.max_seq + 1) for run in _distinct_runs(gens, k)),
+        draw,
     )
-    if total <= spec.exhaustive_limit:
-        runs = (
-            run
-            for k in range(1, spec.max_seq + 1)
-            for run in _distinct_runs(gens, k)
-        )
-        report = CheckReport("transversal", f"{base}, exhaustive ({total} words)")
-    else:
-        rng = random.Random(spec.seed)
-
-        def _sampled():
-            for _ in range(spec.sample_size):
-                k = rng.randint(1, spec.max_seq)
-                run: tuple[Word, ...] = ()
-                for _ in range(k):
-                    g = rng.choice(gens)
-                    while run and run[-1] is g:
-                        g = rng.choice(gens)
-                    run += (g,)
-                yield run
-
-        runs = _sampled()
-        report = CheckReport(
-            "transversal",
-            f"{base}, sample of {spec.sample_size} words (seed {spec.seed})",
-            seed=spec.seed,
-        )
-
     for run in budgeted(runs, deadline):
         report.cases += 1
         gw = GroupWord(run)
@@ -377,5 +326,37 @@ def check_transversal(
         report.failures.append(
             failure.format("*".join(render(g, alphabet) for g in run))
         )
+    return report
+
+
+_CHECKS = {
+    "bol": partial(_law_suite, 3, _bol, "((x y) z) y = x ((y z) y)"),
+    "exp2": partial(_law_suite, 1, _exp2, "x x = 1"),
+    "rip": partial(_law_suite, 2, _rip, "(x y) y = x"),
+    "nuclei": _nuclei_suite,
+    "unique-form": _unique_form_suite,
+    "transversal": _transversal_suite,
+}
+
+SUITES = tuple(_CHECKS)
+"""The names :func:`check_identity_suite` accepts, in the CLI's order."""
+
+
+def check_identity_suite(
+    which: str,
+    alphabet: Alphabet,
+    spec: SampleSpec = SampleSpec(),
+    *,
+    deadline: float | None = None,
+) -> CheckReport:
+    """Run one suite of :data:`SUITES` (see the module docstring) and report.
+    With a deadline the listing and the scan raise
+    :class:`~bol2.basis.BudgetExceeded` once it has passed."""
+    try:
+        check = _CHECKS[which]
+    except KeyError:
+        raise ValueError(f"unknown suite {which!r} (choose from {SUITES})") from None
+    start = time.perf_counter()
+    report = check(which, alphabet, spec, deadline)
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report

@@ -192,33 +192,36 @@ def parse(text: str, alphabet: Alphabet) -> Word:
     s = text.strip()
     if s == "1":
         return IDENTITY
-    word, pos = _parse_run(s, 0, alphabet)
-    if pos != len(s):
-        raise WordSyntaxError("unmatched ')'", pos)
+    # One run of factors per open parenthesis, innermost last: an explicit
+    # stack, so the nesting depth is not bounded by the recursion limit.
+    runs: list[list[Word]] = [[]]
+    for pos, ch in enumerate(s):
+        if ch.isspace():
+            continue
+        if ch == "(":
+            runs.append([])
+        elif ch == ")":
+            group = _close_run(runs, pos)
+            if not runs:
+                raise WordSyntaxError("unmatched ')'", pos)
+            runs[-1].append(group)
+        else:
+            try:
+                runs[-1].append(alphabet.letter(ch))
+            except ValueError:
+                raise WordSyntaxError(f"unknown letter {ch!r}", pos) from None
+    word = _close_run(runs, len(s))
+    if runs:
+        raise WordSyntaxError("unclosed '('", len(s))
     return word
 
 
-def _parse_run(s: str, pos: int, alphabet: Alphabet) -> tuple[Word, int]:
-    factors: list[Word] = []
-    while pos < len(s) and s[pos] != ")":
-        ch = s[pos]
-        if ch.isspace():
-            pos += 1
-        elif ch == "(":
-            inner, pos = _parse_run(s, pos + 1, alphabet)
-            if pos >= len(s):
-                raise WordSyntaxError("unclosed '('", pos)
-            pos += 1  # consume ')'
-            factors.append(inner)
-        else:
-            try:
-                factors.append(alphabet.letter(ch))
-            except ValueError:
-                raise WordSyntaxError(f"unknown letter {ch!r}", pos) from None
-            pos += 1
+def _close_run(runs: list[list[Word]], pos: int) -> Word:
+    # Pop the innermost run, ended at ``pos``, as one left-associated factor.
+    factors = runs.pop()
     if not factors:
         raise WordSyntaxError("empty word", pos)
-    return left_assoc(factors), pos
+    return left_assoc(factors)
 
 
 def render(word: Word, alphabet: Alphabet) -> str:

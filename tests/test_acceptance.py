@@ -15,7 +15,6 @@ from bol2 import (
     IDENTITY,
     SampleSpec,
     check_identity_suite,
-    check_transversal,
     enumerate_basis,
     enumerate_loop_words,
     in_basis,
@@ -202,7 +201,7 @@ def test_criterion_09_non_associativity_and_nuclei(ab):
 def test_criterion_10_transversal_model(ab):
     with criterion(10, "group words over the length-5 basis return to the "
                        "identity stabilizer"):
-        report = check_transversal(ab, SampleSpec(max_len=5, max_seq=3))
+        report = check_identity_suite("transversal", ab, SampleSpec(max_len=5, max_seq=3))
         assert report.ok and report.failures == []
         n = len(enumerate_basis(ab, 5))
         assert n == 7

@@ -7,8 +7,9 @@ import time
 
 import pytest
 
-from bol2 import InternalInvariantError, cli, parse, render
+from bol2 import InternalInvariantError, Product, cli, left_assoc, parse, render
 from bol2.cli import main
+from bol2.verify import SUITES
 
 from helpers import AB
 
@@ -190,10 +191,14 @@ class TestExitCodes:
         )
 
     def test_budget_exhaustion_is_4(self, capsys):
-        code, _, err = run(capsys, "check", "bol", "--max-len", "3", "--budget", "0")
-        assert code == 4 and "budget" in err
         code, _, err = run(capsys, "enum", "D", "--max-len", "6", "--budget", "0")
         assert code == 4 and "budget" in err
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_check_budget_exhaustion_is_4(self, capsys, suite):
+        code, out, err = run(capsys, "check", suite, "--max-len", "3", "--budget", "0")
+        assert (code, out) == (4, "")
+        assert err == "error: wall-clock budget exhausted\n"
 
     def test_ldiv_budget_exhaustion_is_4(self, capsys):
         # Without the budget this search lists the carrier up to length 14.
@@ -204,10 +209,33 @@ class TestExitCodes:
         assert err == "error: wall-clock budget exhausted\n"
 
     def test_too_deep_input_is_5(self, capsys):
-        right_comb = "a(" * 3000 + "b" + ")" * 3000
-        code, out, err = run(capsys, "normalize", right_comb)
+        # A basis word 1,500 levels deep, (b(...(b(ba))a...))a: it parses,
+        # but basis membership recurses through its spine factors.
+        a, b = AB.letters
+        word = Product(b, a)
+        for _ in range(1500):
+            word = Product(Product(b, word), a)
+        code, out, err = run(capsys, "canon", render(word, AB))
         assert (code, out) == (5, "")
         assert err == "error: input too large for this process (RecursionError)\n"
+
+    @pytest.mark.parametrize("shape", ["left", "right"])
+    def test_deeply_parenthesized_input_parses(self, capsys, shape):
+        # 10,000 nested parentheses: parse keeps its own stack.
+        if shape == "left":
+            text = render(left_assoc(AB.letters * 5001), AB)
+            assert text.startswith("(" * 10_000 + "ab)")
+        else:
+            text = "a(" * 10_000 + "ab" + ")" * 10_000
+        assert run(capsys, "normalize", text) == (0, text + "\n", "")
+
+    def test_canon_of_a_deep_right_comb_is_3(self, capsys):
+        # Reduced, but its second spine factor, a(a(...(ab))), has no letter
+        # as its right child, so it is no basis word.
+        text = "a(" * 10_000 + "ab" + ")" * 10_000
+        code, out, err = run(capsys, "canon", text)
+        assert (code, out) == (3, "")
+        assert err.endswith("is not a basis member\n")
 
     def test_long_flat_run_is_not_too_deep(self, capsys):
         code, out, err = run(capsys, "normalize", "ab" * 2000)

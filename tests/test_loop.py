@@ -25,6 +25,8 @@ from bol2 import (
     symmetric_form,
 )
 
+from bol2.loop import free_reduce
+
 from helpers import palindrome_index
 
 
@@ -143,6 +145,21 @@ class TestPalindromicForm:
             PalindromicForm((parse("ab", ab),))
         with pytest.raises(ValueError):
             PalindromicForm((IDENTITY,))
+
+
+def test_free_reduce_cancels_at_the_seam_only(ab):
+    a, b, ba = (parse(t, ab) for t in ("a", "b", "ba"))
+    # through the whole seam, and past the end of either side
+    assert free_reduce((a, b, ba), (ba, b, a)) == ()
+    assert free_reduce((b, a, b), (b, a)) == (b,)
+    assert free_reduce((a, b), (b, a, ba)) == (ba,)
+    # up to the first mismatch; equal entries past it stay
+    assert free_reduce((a, b, ba), (ba, a, b)) == (a, b, a, b)
+    assert free_reduce((a, b), (a, b)) == (a, b, a, b)
+    # empty sides
+    assert free_reduce((), (a, b)) == (a, b)
+    assert free_reduce((a, b), ()) == (a, b)
+    assert free_reduce((), ()) == ()
 
 
 class TestMul:

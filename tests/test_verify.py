@@ -10,7 +10,6 @@ from bol2 import (
     SampleSpec,
     act,
     check_identity_suite,
-    check_transversal,
     enumerate_basis,
     enumerate_loop_words,
     group_mul,
@@ -20,7 +19,8 @@ from bol2 import (
     symmetric_form,
 )
 from bol2 import verify
-from bol2.verify import IDENTITY_SUITES
+from bol2.basis import deadline_after
+from bol2.verify import SUITES
 
 from helpers import distinct_runs
 
@@ -138,7 +138,9 @@ class TestSuites:
 
     def test_budget_zero_trips_immediately(self, ab):
         with pytest.raises(BudgetExceeded):
-            check_identity_suite("bol", ab, SampleSpec(max_len=3), budget_ms=0)
+            check_identity_suite(
+                "bol", ab, SampleSpec(max_len=3), deadline=deadline_after(0)
+            )
 
     def test_report_serialization(self, ab):
         report = check_identity_suite("exp2", ab, SampleSpec(max_len=2))
@@ -156,31 +158,36 @@ class TestSuites:
         assert bad.to_dict()["passed"] is False
 
     def test_suite_names_are_stable(self):
-        assert IDENTITY_SUITES == ("bol", "exp2", "rip", "nuclei", "unique-form")
+        assert SUITES == (
+            "bol", "exp2", "rip", "nuclei", "unique-form", "transversal",
+        )
 
 
 class TestTransversal:
     def test_exhaustive_small(self, ab):
-        report = check_transversal(ab, SampleSpec(max_len=3, max_seq=2))
+        report = check_identity_suite("transversal", ab, SampleSpec(max_len=3, max_seq=2))
         assert report.ok
         assert report.cases == 9  # 3 + 3*2 group words
 
     def test_sampled(self, ab):
         spec = SampleSpec(max_len=4, max_seq=3, exhaustive_limit=10,
                           sample_size=40, seed=3)
-        report = check_transversal(ab, spec)
+        report = check_identity_suite("transversal", ab, spec)
         assert report.ok and report.cases == 40 and report.seed == 3
 
     def test_budget(self, ab):
         with pytest.raises(BudgetExceeded):
-            check_transversal(ab, SampleSpec(max_len=3, max_seq=2), budget_ms=0)
+            check_identity_suite(
+                "transversal", ab, SampleSpec(max_len=3, max_seq=2),
+                deadline=deadline_after(0),
+            )
 
     def test_failure_messages(self, ab, monkeypatch):
         # Break each step in turn: every one of the 9 group words then fails,
         # labelled by its generators.
         spec = SampleSpec(max_len=3, max_seq=2)
         monkeypatch.setattr(verify, "s_word", lambda g: GroupWord())
-        report = check_transversal(ab, spec)
+        report = check_identity_suite("transversal", ab, spec)
         assert report.failures[:4] == [
             f"palindromic word of {label} denotes the wrong element"
             for label in ("a", "b", "ba", "a*b")
@@ -188,7 +195,7 @@ class TestTransversal:
         assert len(report.failures) == report.cases == 9
         monkeypatch.undo()
         monkeypatch.setattr(verify, "group_mul", lambda u, v: u)
-        report = check_transversal(ab, spec)
+        report = check_identity_suite("transversal", ab, spec)
         assert report.failures[8] == (
             "ba*b * its palindromic word does not stabilize the identity"
         )
