@@ -19,6 +19,7 @@ from .basis import (
     is_candidate,
     why_not_in_loop,
 )
+from .cli import BudgetExceeded
 from .loop import (
     PalindromicForm,
     ldiv,
@@ -34,7 +35,6 @@ from .normalize import (
     reduce_product,
 )
 from .verify import (
-    BudgetExceeded,
     CheckReport,
     GroupWord,
     SampleSpec,

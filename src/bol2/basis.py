@@ -19,17 +19,17 @@ child) is a letter are two field reads.  So the candidate test keeps no
 table, and only the words that pass those reads are memoized for basis
 membership.  Membership does not depend on the alphabet — only letter ranks
 matter — so that table, and the canonical-form table of :mod:`.loop`, live
-in one process-wide owner, :data:`SHARED_CACHE`.  As the lowest layer that
-enumerates, this module also owns the wall-clock budget (:func:`budgeted`)
-and the cache of complete length levels of reduced words.
+in one process-wide owner, :data:`SHARED_CACHE`.  This module also owns the
+cache of complete length levels of reduced words.  No function here takes a
+time limit: the command line's ``--budget`` interrupts whatever is running
+(see :mod:`.cli`), and every table here stores only finished values.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .normalize import is_reduced, normal_form
 from .words import (
@@ -38,6 +38,7 @@ from .words import (
     Letter,
     Product,
     Word,
+    clip,
     compare,
     is_symmetric,
     render,
@@ -47,7 +48,6 @@ from .words import (
 )
 
 __all__ = [
-    "BudgetExceeded",
     "SHARED_CACHE",
     "is_candidate",
     "in_basis",
@@ -68,30 +68,6 @@ flags of the words that pass the O(1) shape test of :func:`is_candidate`)
 and ``forms`` (canonical forms of :mod:`.loop`).  Code reads each table
 through this object on every call, never through an alias, so a table may
 be replaced at run time."""
-
-
-class BudgetExceeded(RuntimeError):
-    """A command ran past its wall-clock budget."""
-
-
-def deadline_after(ms: float | None) -> float | None:
-    """The deadline ``ms`` milliseconds from now; ``None`` for none."""
-    return None if ms is None else time.monotonic() + ms / 1000.0
-
-
-def budgeted(items: Iterable, deadline: float | None) -> Iterable:
-    """``items`` itself without a deadline; otherwise an iterator over them
-    that raises :class:`BudgetExceeded` before any item once it has passed."""
-    if deadline is None:
-        return items
-    return _until(deadline, items)
-
-
-def _until(deadline: float, items: Iterable) -> Iterable:
-    for item in items:
-        if time.monotonic() >= deadline:
-            raise BudgetExceeded("wall-clock budget exhausted")
-        yield item
 
 
 def is_candidate(word: Word) -> bool:
@@ -136,27 +112,29 @@ def in_loop(word: Word) -> bool:
 
 
 def why_not_in_loop(word: Word, alphabet: Alphabet) -> str | None:
-    """``None`` when the word is a carrier element, else a diagnosis."""
+    """``None`` when the word is a carrier element, else a diagnosis; a long
+    word it names is shown by :func:`~bol2.words.clip`."""
     if word.size == 0:
         return None
     if not is_reduced(word):
-        return f"not reduced: normal form is {render(normal_form(word), alphabet)}"
+        shown = clip(render(normal_form(word), alphabet))
+        return f"not reduced: normal form is {shown}"
     for f in spine_factors(word):
         if not in_basis(f):
             note = " (the factor is symmetric)" if is_symmetric(f) else ""
-            return f"spine factor {render(f, alphabet)} is not a basis member{note}"
+            shown = clip(render(f, alphabet))
+            return f"spine factor {shown} is not a basis member{note}"
     return None
 
 
 _reduced_words: dict[tuple[int, int], tuple[Word, ...]] = {}
 """Complete levels of reduced words, keyed by (number of letters, size).
-A level stopped by a deadline part way through is never stored."""
+A level is stored in one assignment once built, so a build interrupted part
+way through stores nothing."""
 
 
-def _level(n_letters: int, size: int, deadline: float | None = None) -> tuple[Word, ...]:
-    """The reduced words of one size, cached once built to the end.  With a
-    deadline the build, and the build of each shorter level it reads, tests
-    it before every word."""
+def _level(n_letters: int, size: int) -> tuple[Word, ...]:
+    """The reduced words of one size, cached once built to the end."""
     try:
         return _reduced_words[n_letters, size]
     except KeyError:
@@ -164,19 +142,19 @@ def _level(n_letters: int, size: int, deadline: float | None = None) -> tuple[Wo
     # Through a list: a tuple grown from a generator goes back to the
     # youngest garbage-collector generation at each resize and is scanned
     # again, which costs about a tenth of the build.
-    level = tuple(list(budgeted(_products(n_letters, size, deadline), deadline)))
+    level = tuple(list(_products(n_letters, size)))
     _reduced_words[n_letters, size] = level
     return level
 
 
-def _products(n_letters: int, size: int, deadline: float | None) -> Iterator[Word]:
+def _products(n_letters: int, size: int) -> Iterator[Word]:
     # Letters are the level of size 1; a longer word is a product of two
     # shorter ones, pruned of the two square collapses at its root.
     if size == 1:
         yield from map(Letter, range(n_letters))
     for left_size in range(1, size):
-        rights = _level(n_letters, size - left_size, deadline)
-        for left in _level(n_letters, left_size, deadline):
+        rights = _level(n_letters, size - left_size)
+        for left in _level(n_letters, left_size):
             for right in rights:
                 if left is right:
                     continue
@@ -194,46 +172,33 @@ def enumerate_reduced(alphabet: Alphabet, size: int) -> tuple[Word, ...]:
 
 
 def enumerate_filtered(
-    alphabet: Alphabet,
-    max_len: int,
-    keep: Callable[[Word], bool],
-    *,
-    deadline: float | None = None,
+    alphabet: Alphabet, max_len: int, keep: Callable[[Word], bool]
 ) -> list[Word]:
     """Reduced words of length at most ``max_len`` that satisfy ``keep``,
-    sorted by the word order.  With a deadline the scan checks it before
-    each word, also while a level is still being built, and raises
-    :class:`BudgetExceeded` once it has passed."""
+    sorted by the word order."""
     n_letters = len(alphabet)
     scanned = itertools.chain.from_iterable(
-        _level(n_letters, n, deadline) for n in range(1, max_len + 1)
+        _level(n_letters, n) for n in range(1, max_len + 1)
     )
-    out = [w for w in budgeted(scanned, deadline) if keep(w)]
+    out = [w for w in scanned if keep(w)]
     out.sort(key=word_key)
     return out
 
 
-def enumerate_candidates(
-    alphabet: Alphabet, max_len: int, *, deadline: float | None = None
-) -> list[Word]:
+def enumerate_candidates(alphabet: Alphabet, max_len: int) -> list[Word]:
     """Candidates of length at most ``max_len``, sorted by the word order."""
-    return enumerate_filtered(alphabet, max_len, is_candidate, deadline=deadline)
+    return enumerate_filtered(alphabet, max_len, is_candidate)
 
 
-def enumerate_basis(
-    alphabet: Alphabet, max_len: int, *, deadline: float | None = None
-) -> list[Word]:
+def enumerate_basis(alphabet: Alphabet, max_len: int) -> list[Word]:
     """Basis members of length at most ``max_len``, sorted by the word order."""
-    return enumerate_filtered(alphabet, max_len, in_basis, deadline=deadline)
+    return enumerate_filtered(alphabet, max_len, in_basis)
 
 
-def enumerate_loop_words(
-    alphabet: Alphabet, max_len: int, *, deadline: float | None = None
-) -> list[Word]:
+def enumerate_loop_words(alphabet: Alphabet, max_len: int) -> list[Word]:
     """Carrier elements of length at most ``max_len`` (identity included),
     sorted by the word order."""
-    carrier = enumerate_filtered(alphabet, max_len, in_loop, deadline=deadline)
-    return [IDENTITY] + carrier
+    return [IDENTITY] + enumerate_filtered(alphabet, max_len, in_loop)
 
 
 def basis_by_fixpoint(alphabet: Alphabet, max_len: int) -> frozenset[Word]:

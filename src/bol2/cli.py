@@ -1,8 +1,15 @@
 """Command line front end.
 
 Every command parses its operands, calls the library and prints the result
-as text or JSON.  ``--budget`` becomes one deadline that the enumeration,
-``ldiv`` and check loops test before each word, candidate or case they scan.
+as text or JSON.  ``--budget MS`` arms one POSIX interval timer, whose
+``SIGALRM`` handler raises :class:`BudgetExceeded` wherever the command is.
+The timer is stopped before anything is printed, and the previous handler
+is back before :func:`main` returns; the library takes no time limit.  An
+interrupt may land between any two bytecodes, so each memo store writes a
+finished value in one assignment: the ``Letter`` and ``Product`` intern
+tables, ``SHARED_CACHE.basis`` and ``.forms``, and ``basis._reduced_words``.
+So an interrupted command leaves no wrong entry, and a length level
+interrupted while it is built is never stored.
 
 Exit codes: 0 success (checks passed), 1 a check reported failures,
 2 malformed input or usage, 3 an operand is not a loop element (with a
@@ -15,13 +22,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
+from contextlib import contextmanager
 from functools import partial
 from typing import Sequence
 
 from .basis import (
-    BudgetExceeded,
-    deadline_after,
     enumerate_basis,
     enumerate_candidates,
     enumerate_filtered,
@@ -34,6 +41,7 @@ from .verify import SUITES, CheckReport, SampleSpec, check_identity_suite
 from .words import (
     Alphabet,
     Word,
+    clip,
     compare,
     parse,
     render,
@@ -42,14 +50,45 @@ from .words import (
     transpose_family,
 )
 
-__all__ = ["main", "build_parser", "NotLoopElement"]
+__all__ = ["main", "build_parser", "BudgetExceeded", "NotLoopElement"]
+
+
+class BudgetExceeded(RuntimeError):
+    """A command ran past its wall-clock budget."""
+
+
+def _on_alarm(signum, frame):
+    raise BudgetExceeded("wall-clock budget exhausted")
+
+
+@contextmanager
+def _budget(ms: float | None):
+    """Raise :class:`BudgetExceeded` in the block after ``ms`` milliseconds."""
+    if ms is None:
+        yield
+        return
+    if not hasattr(signal, "setitimer"):
+        raise ValueError("--budget needs signal.setitimer, which this platform lacks")
+    if ms <= 0:
+        _on_alarm(signal.SIGALRM, None)
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    try:
+        # 1e9 s (31 years) is within every platform's timer; NaN is refused.
+        signal.setitimer(signal.ITIMER_REAL, min(ms / 1000, 1e9))
+        yield
+    finally:
+        # An alarm firing in here has stopped the one-shot timer itself.
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+        finally:
+            signal.signal(signal.SIGALRM, previous)
 
 
 class NotLoopElement(ValueError):
     """An operand parsed fine but is not an element of the loop carrier."""
 
     def __init__(self, raw: str, reason: str):
-        super().__init__(f"{raw!r} is not a loop element: {reason}")
+        super().__init__(f"{clip(repr(raw))} is not a loop element: {reason}")
 
 
 def _alphabet(ns) -> Alphabet:
@@ -65,6 +104,10 @@ def _require_loop(raw: str, alphabet: Alphabet) -> Word:
 
 
 def _emit(ns, lines: list[str], payload) -> None:
+    # Stop the timer before any output: a pending alarm raises here, not
+    # part way through the output.
+    if ns.budget is not None:
+        signal.setitimer(signal.ITIMER_REAL, 0)
     if ns.format == "json":
         print(json.dumps(payload))
     else:
@@ -147,7 +190,7 @@ def _cmd_ldiv(ns) -> int:
     alphabet = _alphabet(ns)
     a = _require_loop(ns.left, alphabet)
     b = _require_loop(ns.right, alphabet)
-    x = ldiv(a, b, alphabet, max_len=ns.bound, deadline=deadline_after(ns.budget))
+    x = ldiv(a, b, alphabet, max_len=ns.bound)
     if x is None:
         _emit(ns, ["not-found"], None)
     else:
@@ -167,16 +210,13 @@ _ENUM_KINDS = {
 def _cmd_enum(ns) -> int:
     alphabet = _alphabet(ns)
     enumerate_kind = _ENUM_KINDS[ns.kind]
-    words = enumerate_kind(alphabet, ns.max_len, deadline=deadline_after(ns.budget))
+    words = enumerate_kind(alphabet, ns.max_len)
     rendered = [render(w, alphabet) for w in words]
     _emit(ns, rendered + [f"count: {len(rendered)}"], rendered)
     return 0
 
 
 def _print_report(ns, report: CheckReport) -> None:
-    if ns.format == "json":
-        print(json.dumps(report.to_dict()))
-        return
     lines = [
         f"property: {report.name}",
         f"universe: {report.universe}",
@@ -190,8 +230,7 @@ def _print_report(ns, report: CheckReport) -> None:
     if len(report.failures) > 20:
         lines.append(f"  ... and {len(report.failures) - 20} more")
     lines.append(f"verdict: {'pass' if report.ok else 'fail'}")
-    for line in lines:
-        print(line)
+    _emit(ns, lines, report.to_dict())
 
 
 def _cmd_check(ns) -> int:
@@ -203,9 +242,7 @@ def _cmd_check(ns) -> int:
         sample_size=ns.sample,
         seed=ns.seed,
     )
-    report = check_identity_suite(
-        ns.suite, alphabet, spec, deadline=deadline_after(ns.budget)
-    )
+    report = check_identity_suite(ns.suite, alphabet, spec)
     _print_report(ns, report)
     return 0 if report.ok else 1
 
@@ -331,7 +368,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return ns.handler(ns)
+        with _budget(ns.budget):
+            return ns.handler(ns)
     except BudgetExceeded as exc:
         code, message = 4, str(exc)
     except (RecursionError, MemoryError) as exc:

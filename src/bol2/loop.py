@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .basis import SHARED_CACHE, budgeted, enumerate_loop_words, in_basis, in_loop
+from .basis import SHARED_CACHE, enumerate_loop_words, in_basis, in_loop
 from .normalize import (
     InternalInvariantError,
     is_reduced,
@@ -47,7 +47,6 @@ from .words import (
     IDENTITY,
     Alphabet,
     Word,
-    left_assoc,
     palindromic_splits,
     spine_factors,
     transpose,
@@ -84,10 +83,6 @@ class PalindromicForm:
     def sequence(self) -> tuple[Word, ...]:
         """The full palindrome ``h1, ..., hm, ..., h1``."""
         return self.half + self.half[-2::-1]
-
-    def as_word(self) -> Word:
-        """The (unreduced) left-associated word spelled by the palindrome."""
-        return left_assoc(self.sequence)
 
 
 def _unfold_wrap(last_factor: Word) -> tuple[Word, ...]:
@@ -211,18 +206,12 @@ def rdiv(b: Word, a: Word) -> Word:
 
 
 def ldiv(
-    a: Word,
-    b: Word,
-    alphabet: Alphabet,
-    max_len: int | None = None,
-    *,
-    deadline: float | None = None,
+    a: Word, b: Word, alphabet: Alphabet, max_len: int | None = None
 ) -> Word | None:
     """The ``x`` with ``a * x = b``, by search over carrier elements of length
     at most ``max_len`` (default ``|a| + |b| + 2``).  Returns ``None`` when no
     solution exists within the bound — the bound, not the loop, may be the
-    limiting factor.  With a deadline, both the listing and the scan raise
-    :class:`~bol2.basis.BudgetExceeded` once it has passed."""
+    limiting factor.  On the command line, ``--budget`` stops a long search."""
     if a.size == 0:
         return b
     if b.size == 0:
@@ -230,9 +219,7 @@ def ldiv(
     if a is b:
         return IDENTITY
     bound = max_len if max_len is not None else a.size + b.size + 2
-    pool = enumerate_loop_words(alphabet, bound, deadline=deadline)
-    for x in budgeted(pool, deadline):
+    for x in enumerate_loop_words(alphabet, bound):
         if mul(a, x) is b:
             return x
     return None
-

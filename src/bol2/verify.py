@@ -24,8 +24,7 @@ transversal  every group word that moves the identity returns to its
 
 Universes are exhaustive when small enough, otherwise a seeded sample; every
 report records what was scanned, so the checks are reproducible.  A check
-takes a ``deadline`` (see :func:`~bol2.basis.budgeted`), as the enumerators
-and :func:`~bol2.loop.ldiv` do.
+takes no time limit; the command line's ``--budget`` interrupts it.
 """
 
 from __future__ import annotations
@@ -36,19 +35,12 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 
-from .basis import (
-    BudgetExceeded,
-    budgeted,
-    enumerate_basis,
-    enumerate_loop_words,
-    in_basis,
-)
+from .basis import enumerate_basis, enumerate_loop_words, in_basis
 from .loop import free_reduce, mul, symmetric_form
 from .normalize import normal_form_chain
 from .words import IDENTITY, Alphabet, Word, render
 
 __all__ = [
-    "BudgetExceeded",
     "GroupWord",
     "group_mul",
     "act",
@@ -75,16 +67,6 @@ class GroupWord:
         for g in self.gens:
             if not in_basis(g):
                 raise ValueError(f"generator is not a basis member: {g!r}")
-
-    def __mul__(self, other: "GroupWord") -> "GroupWord":
-        return group_mul(self, other)
-
-    def inverse(self) -> "GroupWord":
-        """Generators are involutions, so inversion just reverses the word."""
-        return GroupWord(self.gens[::-1])
-
-    def __len__(self) -> int:
-        return len(self.gens)
 
 
 def group_mul(u: GroupWord, v: GroupWord) -> GroupWord:
@@ -157,8 +139,6 @@ class CheckReport:
         }
 
 
-
-
 def _distinct_runs(pool, length):
     """All tuples over ``pool`` of the given length with adjacent entries
     distinct, in the lexicographic order of ``pool``."""
@@ -191,8 +171,8 @@ def _rip(x, y):
     return mul(mul(x, y), y) is x
 
 
-def _law_suite(arity, holds, law, which, alphabet, spec, deadline) -> CheckReport:
-    pool = enumerate_loop_words(alphabet, spec.max_len, deadline=deadline)
+def _law_suite(arity, holds, law, which, alphabet, spec) -> CheckReport:
+    pool = enumerate_loop_words(alphabet, spec.max_len)
     names = "xyz"[:arity]
     tuples, report = _universe(
         which,
@@ -204,7 +184,7 @@ def _law_suite(arity, holds, law, which, alphabet, spec, deadline) -> CheckRepor
         itertools.product(pool, repeat=arity),
         lambda rng: tuple(rng.choice(pool) for _ in range(arity)),
     )
-    for tup in budgeted(tuples, deadline):
+    for tup in tuples:
         report.cases += 1
         if not holds(*tup):
             binding = " ".join(
@@ -214,10 +194,10 @@ def _law_suite(arity, holds, law, which, alphabet, spec, deadline) -> CheckRepor
     return report
 
 
-def _nuclei_suite(which, alphabet, spec, deadline) -> CheckReport:
+def _nuclei_suite(which, alphabet, spec) -> CheckReport:
     """No non-identity element may satisfy ``(x a) y = x (a y)`` for *all*
     ``x, y`` in the bounded universe.  Always exhaustive."""
-    pool = enumerate_loop_words(alphabet, spec.max_len, deadline=deadline)
+    pool = enumerate_loop_words(alphabet, spec.max_len)
     total = len(pool) ** 3
     if total > spec.exhaustive_limit:
         raise ValueError(
@@ -233,7 +213,7 @@ def _nuclei_suite(which, alphabet, spec, deadline) -> CheckReport:
         if a.size == 0:
             continue
         central = True
-        for x, y in budgeted(itertools.product(pool, repeat=2), deadline):
+        for x, y in itertools.product(pool, repeat=2):
             report.cases += 1
             if mul(mul(x, a), y) is not mul(x, mul(a, y)):
                 central = False
@@ -246,11 +226,11 @@ def _nuclei_suite(which, alphabet, spec, deadline) -> CheckReport:
     return report
 
 
-def _unique_form_suite(which, alphabet, spec, deadline) -> CheckReport:
+def _unique_form_suite(which, alphabet, spec) -> CheckReport:
     """Distinct palindromic halves (entries: basis words of length <=
     ``max_len``; half length <= ``max_seq``) must denote distinct non-identity
     elements, each having that half as its canonical form."""
-    gens = enumerate_basis(alphabet, spec.max_len, deadline=deadline)
+    gens = enumerate_basis(alphabet, spec.max_len)
     report = CheckReport(
         which,
         f"palindromic halves of length <= {spec.max_seq} over the "
@@ -263,7 +243,7 @@ def _unique_form_suite(which, alphabet, spec, deadline) -> CheckReport:
 
     index: dict[Word, tuple[Word, ...]] = {}
     for m in range(1, spec.max_seq + 1):
-        for half in budgeted(_distinct_runs(gens, m), deadline):
+        for half in _distinct_runs(gens, m):
             report.cases += 1
             value = normal_form_chain(IDENTITY, half + half[-2::-1])
             if value.size == 0:
@@ -283,11 +263,11 @@ def _unique_form_suite(which, alphabet, spec, deadline) -> CheckReport:
     return report
 
 
-def _transversal_suite(which, alphabet, spec, deadline) -> CheckReport:
+def _transversal_suite(which, alphabet, spec) -> CheckReport:
     """Every group word ``g`` moving the identity to ``v != 1`` must return to
     the stabilizer after the palindromic word of ``v``:
     ``act(1, g * s_word(g)) = 1``."""
-    gens = enumerate_basis(alphabet, spec.max_len, deadline=deadline)
+    gens = enumerate_basis(alphabet, spec.max_len)
     n = len(gens)
 
     def draw(rng):
@@ -309,7 +289,7 @@ def _transversal_suite(which, alphabet, spec, deadline) -> CheckReport:
         (run for k in range(1, spec.max_seq + 1) for run in _distinct_runs(gens, k)),
         draw,
     )
-    for run in budgeted(runs, deadline):
+    for run in runs:
         report.cases += 1
         gw = GroupWord(run)
         v = act(IDENTITY, gw)
@@ -343,20 +323,14 @@ SUITES = tuple(_CHECKS)
 
 
 def check_identity_suite(
-    which: str,
-    alphabet: Alphabet,
-    spec: SampleSpec = SampleSpec(),
-    *,
-    deadline: float | None = None,
+    which: str, alphabet: Alphabet, spec: SampleSpec = SampleSpec()
 ) -> CheckReport:
-    """Run one suite of :data:`SUITES` (see the module docstring) and report.
-    With a deadline the listing and the scan raise
-    :class:`~bol2.basis.BudgetExceeded` once it has passed."""
+    """Run one suite of :data:`SUITES` (see the module docstring) and report."""
     try:
         check = _CHECKS[which]
     except KeyError:
         raise ValueError(f"unknown suite {which!r} (choose from {SUITES})") from None
     start = time.perf_counter()
-    report = check(which, alphabet, spec, deadline)
+    report = check(which, alphabet, spec)
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report

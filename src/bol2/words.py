@@ -44,6 +44,7 @@ __all__ = [
     "WordSyntaxError",
     "parse",
     "render",
+    "clip",
     "left_assoc",
     "spine_factors",
     "fine_factors",
@@ -228,6 +229,14 @@ def render(word: Word, alphabet: Alphabet) -> str:
     """Inverse of :func:`parse`: letters bare, every composite factor
     parenthesized, the top level bare.  The identity word renders as ``1``."""
     return _spell(word, alphabet.name)
+
+
+def clip(text: str) -> str:
+    """``text`` itself up to 60 characters; a longer text is cut to that
+    prefix and its length, so a diagnosis naming a word stays short."""
+    if len(text) <= 60:
+        return text
+    return f"{text[:60]}... ({len(text)} characters)"
 
 
 def _spell(word: Word, name: Callable[[int], str]) -> str:

@@ -1,5 +1,7 @@
 """Candidate words, the basis fixpoint, and the loop carrier."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 
@@ -26,7 +28,8 @@ from bol2 import (
     transpose_family,
     why_not_in_loop,
 )
-from bol2.basis import BudgetExceeded, deadline_after, enumerate_filtered
+from bol2 import BudgetExceeded, Product
+from bol2.basis import enumerate_filtered
 from bol2.words import word_key
 
 from helpers import ABC, all_words_up_to, candidate_brute, word_strategy
@@ -154,38 +157,26 @@ class TestDiagnostics:
             assert (why_not_in_loop(w, ab) is None) == in_loop(w), render(w, ab)
 
 
-class TestDeadline:
-    @pytest.mark.parametrize(
-        "enumerate_kind", [enumerate_candidates, enumerate_basis, enumerate_loop_words]
-    )
-    def test_passed_deadline_stops_the_scan(self, ab, enumerate_kind):
-        with pytest.raises(BudgetExceeded):
-            enumerate_kind(ab, 5, deadline=deadline_after(0))
-
-    def test_distant_deadline_changes_nothing(self, ab):
-        later = deadline_after(60_000)
-        assert enumerate_loop_words(ab, 6, deadline=later) == enumerate_loop_words(ab, 6)
-
-
 class TestLevels:
     def test_a_level_stopped_part_way_is_not_cached(self, monkeypatch):
         alphabet = Alphabet("pqrstu")  # its levels are built by no other test
         key = (len(alphabet), 3)
+        made = itertools.count()
+        build = Product.__new__
 
-        def stop_after_50(items, deadline):
-            for i, item in enumerate(items):
-                if i == 50:
-                    raise BudgetExceeded("wall-clock budget exhausted")
-                yield item
+        def stop_at_the_51st(cls, left, right):
+            if next(made) == 50:
+                raise BudgetExceeded("wall-clock budget exhausted")
+            return build(cls, left, right)
 
-        # 6 letters and 30 words of length 2 come before the cut.
-        monkeypatch.setattr(basis, "budgeted", stop_after_50)
+        # The 30 words of length 2 and 20 of length 3 come before the cut.
+        monkeypatch.setattr(Product, "__new__", stop_at_the_51st)
         with pytest.raises(BudgetExceeded):
-            enumerate_filtered(alphabet, 3, bool, deadline=deadline_after(60_000))
+            enumerate_filtered(alphabet, 3, bool)
         assert (len(alphabet), 2) in basis._reduced_words
         assert key not in basis._reduced_words
         monkeypatch.undo()
-        words = enumerate_filtered(alphabet, 3, bool, deadline=deadline_after(60_000))
+        words = enumerate_filtered(alphabet, 3, bool)
         assert basis._reduced_words[key] == enumerate_reduced(alphabet, 3)
         assert len(words) == 6 + 30 + len(basis._reduced_words[key])
 

@@ -1,6 +1,8 @@
 """Command-line front end: golden outputs, formats, exit codes."""
 
+import argparse
 import json
+import signal
 import subprocess
 import sys
 import time
@@ -8,16 +10,37 @@ import time
 import pytest
 
 from bol2 import InternalInvariantError, Product, cli, left_assoc, parse, render
-from bol2.cli import main
+from bol2.cli import build_parser, main
 from bol2.verify import SUITES
 
 from helpers import AB
+
+EXHAUSTED = "error: wall-clock budget exhausted\n"
+
+# One valid invocation of every command.
+COMMANDS = {
+    "normalize": ["a"],
+    "compare": ["a", "b"],
+    "transpose": ["ab"],
+    "mul": ["a", "b"],
+    "canon": ["a"],
+    "ldiv": ["a", "b"],
+    "rdiv": ["a", "b"],
+    "enum": ["W", "--max-len", "3"],
+    "check": ["bol"],
+}
 
 
 def run(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def without_elapsed(text):
+    report = json.loads(text)
+    del report["elapsed_ms"]
+    return report
 
 
 class TestNormalize:
@@ -236,6 +259,10 @@ class TestExitCodes:
         code, out, err = run(capsys, "canon", text)
         assert (code, out) == (3, "")
         assert err.endswith("is not a basis member\n")
+        # The quoted operand and the factor each have about 30,000
+        # characters; the diagnosis shows a prefix and the length of each.
+        assert err.count("\n") == 1 and len(err.encode()) <= 300
+        assert f"({len(text) + 2} characters)" in err
 
     def test_long_flat_run_is_not_too_deep(self, capsys):
         code, out, err = run(capsys, "normalize", "ab" * 2000)
@@ -253,6 +280,73 @@ class TestExitCodes:
         left, right = "a" + "ba" * 2000, "b" + "ba" * 2000
         assert run(capsys, "compare", left, right) == (0, "less\n", "")
         assert run(capsys, "compare", right, left) == (0, "greater\n", "")
+
+    def test_budget_zero_is_4_for_every_command(self, capsys):
+        (commands,) = (
+            action.choices
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert set(commands) == set(COMMANDS)
+        for command, operands in COMMANDS.items():
+            code, out, err = run(capsys, command, *operands, "--budget", "0")
+            assert (code, out, err) == (4, "", EXHAUSTED), command
+
+    def test_budget_stops_transpose_of_a_long_flat_run(self):
+        # Without a budget this runs for about 16 s: the transpose family of
+        # a 4,000-letter word has thousands of members of that length.
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "bol2", "transpose", "ab" * 2000,
+             "--budget", "200"],
+            capture_output=True, text=True, timeout=30,
+        )
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", EXHAUSTED)
+        assert elapsed < 2.0
+
+    def test_timer_is_off_and_handler_restored_after_main(self, capsys):
+        def previous(signum, frame):
+            pass
+
+        saved = signal.signal(signal.SIGALRM, previous)
+        try:
+            for code, argv in [
+                (0, ["mul", "a", "b", "--budget", "60000"]),
+                (0, ["mul", "a", "b", "--budget", "inf"]),
+                (2, ["normalize", "a(", "--budget", "60000"]),
+                (2, ["mul", "a", "b", "--budget", "nan"]),
+                (4, ["check", "bol", "--max-len", "5", "--budget", "20"]),
+                (4, ["mul", "a", "b", "--budget", "0"]),
+            ]:
+                assert run(capsys, *argv)[0] == code, argv
+                assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0), argv
+                assert signal.getsignal(signal.SIGALRM) is previous, argv
+        finally:
+            signal.signal(signal.SIGALRM, saved)
+
+    def test_interrupted_check_leaves_no_wrong_entry(self, capsys, fresh_cache):
+        argv = ["check", "bol", "--max-len", "4", "--format", "json"]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "bol2", *argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert fresh.returncode == 0
+        # Cold, the check takes over 100 ms; each run goes on from the
+        # tables the runs before it filled.
+        for ms in ("1", "2", "4", "8", "16"):
+            assert run(capsys, *argv, "--budget", ms) == (4, "", EXHAUSTED), ms
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert without_elapsed(out) == without_elapsed(fresh.stdout)
+
+    def test_budget_without_setitimer_is_2(self, capsys, monkeypatch):
+        monkeypatch.delattr(signal, "setitimer")
+        code, out, err = run(capsys, "mul", "a", "b", "--budget", "100")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --budget needs signal.setitimer")
+        assert err.count("\n") == 1
+        assert run(capsys, "mul", "a", "b") == (0, "ab\n", "")
 
     def test_budget_stops_inside_a_length_level(self):
         # Without a budget this lists every reduced word of up to 11 letters

@@ -16,6 +16,7 @@ from bol2 import (
     in_basis,
     in_loop,
     ldiv,
+    left_assoc,
     mul,
     normal_form,
     normal_form_chain,
@@ -96,7 +97,7 @@ class TestSymmetricForm:
             if g.size == 0:
                 continue
             form = symmetric_form(g)
-            assert normal_form(form.as_word()) is g, render(g, ab)
+            assert normal_form(left_assoc(form.sequence)) is g, render(g, ab)
             for h in form.half:
                 assert in_basis(h)
 
@@ -129,7 +130,7 @@ class TestPalindromicForm:
         a, b = parse("a", ab), parse("b", ab)
         form = PalindromicForm((b, a, b))
         assert form.sequence == (b, a, b, a, b)
-        assert render(form.as_word(), ab) == "(((ba)b)a)b"
+        assert render(left_assoc(form.sequence), ab) == "(((ba)b)a)b"
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

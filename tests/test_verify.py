@@ -4,7 +4,6 @@ import pytest
 
 from bol2 import (
     IDENTITY,
-    BudgetExceeded,
     CheckReport,
     GroupWord,
     SampleSpec,
@@ -19,7 +18,6 @@ from bol2 import (
     symmetric_form,
 )
 from bol2 import verify
-from bol2.basis import deadline_after
 from bol2.verify import SUITES
 
 from helpers import distinct_runs
@@ -40,25 +38,29 @@ class TestGroupWord:
     def test_mul_cancels_at_the_seam(self, ab):
         u = gw(ab, "a", "b", "ba")
         v = gw(ab, "ba", "b", "a")
-        assert (u * v).gens == ()
-        # v.inverse() starts with a, so nothing cancels at the seam
-        assert (u * v.inverse()) == gw(ab, "a", "b", "ba", "a", "b", "ba")
+        assert group_mul(u, v).gens == ()
+        # v reversed starts with a, so nothing cancels at the seam
+        reverse = GroupWord(v.gens[::-1])
+        assert group_mul(u, reverse) == gw(ab, "a", "b", "ba", "a", "b", "ba")
 
     def test_group_axioms_on_small_words(self, ab):
         pool = [GroupWord(t) for n in range(0, 3)
                 for t in distinct_runs(enumerate_basis(ab, 3), n)]
         e = GroupWord()
         for u in pool:
-            assert (u * u.inverse()) == e
-            assert (e * u) == u and (u * e) == u
+            assert group_mul(u, GroupWord(u.gens[::-1])) == e
+            assert group_mul(e, u) == u and group_mul(u, e) == u
             for v in pool:
                 for w in pool:
-                    assert ((u * v) * w) == (u * (v * w))
+                    assert group_mul(group_mul(u, v), w) == group_mul(u, group_mul(v, w))
 
     def test_inverse_reverses(self, ab):
         u = gw(ab, "a", "ba", "b")
-        assert u.inverse().gens == tuple(reversed(u.gens))
-        assert len(u) == 3
+        # Generators are involutions, so the inverse is the reversed word.
+        inverse = GroupWord(u.gens[::-1])
+        assert inverse.gens == tuple(reversed(u.gens))
+        assert group_mul(u, inverse) == GroupWord()
+        assert len(u.gens) == 3
 
     def test_seam_cancellation_eats_through(self, ab):
         # (a b) * (b a b): the seam cancels b,b then a,a, leaving (b,)
@@ -88,7 +90,7 @@ class TestAction:
 
     def test_s_word_rejects_stabilizing_words(self, ab):
         u = gw(ab, "a")
-        stab = group_mul(u, u.inverse())
+        stab = group_mul(u, GroupWord(u.gens[::-1]))
         with pytest.raises(ValueError):
             s_word(stab)
 
@@ -136,12 +138,6 @@ class TestSuites:
         with pytest.raises(ValueError):
             check_identity_suite("associativity", ab)
 
-    def test_budget_zero_trips_immediately(self, ab):
-        with pytest.raises(BudgetExceeded):
-            check_identity_suite(
-                "bol", ab, SampleSpec(max_len=3), deadline=deadline_after(0)
-            )
-
     def test_report_serialization(self, ab):
         report = check_identity_suite("exp2", ab, SampleSpec(max_len=2))
         d = report.to_dict()
@@ -174,13 +170,6 @@ class TestTransversal:
                           sample_size=40, seed=3)
         report = check_identity_suite("transversal", ab, spec)
         assert report.ok and report.cases == 40 and report.seed == 3
-
-    def test_budget(self, ab):
-        with pytest.raises(BudgetExceeded):
-            check_identity_suite(
-                "transversal", ab, SampleSpec(max_len=3, max_seq=2),
-                deadline=deadline_after(0),
-            )
 
     def test_failure_messages(self, ab, monkeypatch):
         # Break each step in turn: every one of the 9 group words then fails,
