@@ -58,7 +58,6 @@ from .words import (
     render,
     spine_factors,
     transpose,
-    transpose_family,
     word_key,
 )
 

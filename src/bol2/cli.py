@@ -43,11 +43,11 @@ from .words import (
     Word,
     clip,
     compare,
+    fine_factors,
     parse,
     render,
     spine_factors,
     transpose,
-    transpose_family,
 )
 
 __all__ = ["main", "build_parser", "BudgetExceeded", "NotLoopElement"]
@@ -136,7 +136,10 @@ def _cmd_transpose(ns) -> int:
     factors = spine_factors(word)  # rejects the identity word
     t = transpose(word)
     tt = transpose(t)
-    family = transpose_family(word)
+    # Counted, not built: k - 1 rearrangements per distinct transpose, where
+    # k counts the fine factors; a letter's family is the word itself.
+    k = len(fine_factors(word))
+    family_size = max(k - 1 if t is tt else 2 * (k - 1), 1)
     spine = [render(f, alphabet) for f in factors]
     payload = {
         "word": render(word, alphabet),
@@ -144,7 +147,7 @@ def _cmd_transpose(ns) -> int:
         "spine": spine,
         "transpose": render(t, alphabet),
         "double_transpose": render(tt, alphabet),
-        "family_size": len(family),
+        "family_size": family_size,
     }
     lines = [
         f"word: {payload['word']}",

@@ -7,7 +7,9 @@ half ``(h1, ..., hm)``).  The product is then
 
     x * y  =  normal form of  x h1 h2 ... hm ... h2 h1,
 
-where the palindrome is the one denoting ``y``.  With the identity word
+where the palindrome is the one denoting ``y``: :func:`mul` is one
+:func:`~bol2.normalize.normal_form_chain` fold of the form's ``sequence``,
+which each form builds once, into ``x``.  With the identity word
 adjoined this operation makes the carrier a Bol loop in which every element
 is its own inverse: ``x*x = 1`` and ``(x*y)*y = x``, so right division is
 right multiplication, while left division has no closed form and is done by
@@ -34,22 +36,17 @@ before it is memoized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .basis import SHARED_CACHE, enumerate_loop_words, in_basis, in_loop
-from .normalize import (
-    InternalInvariantError,
-    is_reduced,
-    normal_form,
-    normal_form_chain,
-)
+from .normalize import InternalInvariantError, normal_form, normal_form_chain
 from .words import (
     IDENTITY,
     Alphabet,
     Word,
+    left_assoc,
     palindromic_splits,
     spine_factors,
-    transpose,
 )
 
 __all__ = [
@@ -65,9 +62,12 @@ __all__ = [
 @dataclass(frozen=True)
 class PalindromicForm:
     """An odd palindrome ``h1 ... hm ... h1`` over the basis, stored as its
-    half ``(h1, ..., hm)``; adjacent entries are distinct."""
+    half ``(h1, ..., hm)``; adjacent entries are distinct.  The full
+    palindrome ``sequence`` is built once, here, and takes no part in
+    equality, hashing or ``repr``."""
 
     half: tuple[Word, ...]
+    sequence: tuple[Word, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.half:
@@ -78,17 +78,7 @@ class PalindromicForm:
         for h in self.half:
             if not in_basis(h):
                 raise ValueError(f"entry is not a basis member: {h!r}")
-
-    @property
-    def sequence(self) -> tuple[Word, ...]:
-        """The full palindrome ``h1, ..., hm, ..., h1``."""
-        return self.half + self.half[-2::-1]
-
-
-def _unfold_wrap(last_factor: Word) -> tuple[Word, ...]:
-    # (as, bl, ..., b1): multiplying this prefix into the double transpose
-    # consumes its leading run b1 ... bl as one step at a time, then re-attaches as.
-    return (last_factor,) + spine_factors(last_factor)[::-1]
+        object.__setattr__(self, "sequence", self.half + self.half[-2::-1])
 
 
 def free_reduce(left: tuple[Word, ...], right: tuple[Word, ...]) -> tuple[Word, ...]:
@@ -138,26 +128,34 @@ def symmetric_form(element: Word) -> PalindromicForm:
         return SHARED_CACHE.forms[element]
     except KeyError:
         pass
-    if not in_loop(element):
+    # One spine walk serves the membership test, the wrap and both transposes.
+    factors = spine_factors(element)
+    if not (element.reduced and all(in_basis(f) for f in factors)):
         raise ValueError(f"not a carrier element: {element!r}")
 
     if in_basis(element):
         form = PalindromicForm((element,))
     else:
-        factors = spine_factors(element)
         wrap = factors[::-1]
-        t = transpose(element)
-        tt = transpose(t)
-        if not is_reduced(t):
+        # The double transpose is the fine factorization: the spine with its
+        # last factor unfolded into its own reversed spine.
+        unfolded = spine_factors(factors[-1])[::-1]
+        t = left_assoc(wrap)
+        tt = left_assoc(factors[:-1] + unfolded)
+        # (as, bl, ..., b1): multiplying this prefix into the double transpose
+        # consumes its leading run b1 ... bl one step at a time, then
+        # re-attaches as.
+        unfold_wrap = (factors[-1],) + unfolded
+        if not t.reduced:
             core = symmetric_form(_shrunk(t, element)).half
-        elif not is_reduced(tt):
-            wrap = _unfold_wrap(factors[-1])
+        elif not tt.reduced:
+            wrap = unfold_wrap
             core = symmetric_form(_shrunk(tt, element)).half
         elif t is not tt:
             if in_basis(t):
                 core = (t,)
             elif in_basis(tt):
-                wrap = _unfold_wrap(factors[-1])
+                wrap = unfold_wrap
                 core = (tt,)
             else:
                 raise InternalInvariantError(

@@ -87,10 +87,30 @@ def normal_form(word: Word) -> Word:
 def normal_form_chain(head: Word, factors: Iterable[Word]) -> Word:
     """Normal form of the left-associated product ``head f1 f2 ... fn``.
 
-    Each argument is normalized first, so the fold only ever multiplies
-    reduced words.
+    A non-reduced argument is normalized first, so the fold only ever
+    multiplies reduced words.  Each step is :func:`reduce_product` written
+    out in one loop: the two collapses, then one read of the intern table.
     """
     acc = normal_form(head)
+    interned = Product._interned
     for f in factors:
-        acc = reduce_product(acc, normal_form(f))
+        if not f.reduced:
+            f = normal_form(f)
+        if f is IDENTITY:
+            continue
+        if acc is f:
+            acc = IDENTITY
+        elif acc is IDENTITY:
+            acc = f
+        elif acc.size > 1 and acc.right is f:  # size > 1: ``acc`` is a product
+            acc = acc.left
+        else:
+            w = interned.get((acc, f))
+            if w is None:
+                w = Product(acc, f)
+            if not w.reduced:
+                raise InternalInvariantError(
+                    f"product of reduced words is not reduced: {w!r}"
+                )
+            acc = w
     return acc

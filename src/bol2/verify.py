@@ -3,9 +3,11 @@
 The construction has a group-side mirror: take the free product of order-two
 generators, one per basis word, acting on the carrier by right loop
 multiplication.  A *group word* is a reduced sequence of such generators
-(adjacent entries distinct); it acts by folding.  Words that move the
-identity word to ``v != 1`` can be pushed back into the stabilizer by the
-palindromic word of ``v``.
+(adjacent entries distinct).  A basis word's palindromic form is the word
+itself, so a group word acts by one :func:`~bol2.normalize.normal_form_chain`
+fold of its generators, the fold behind :func:`~bol2.loop.mul`.  Words that
+move the identity word to ``v != 1`` can be pushed back into the stabilizer
+by the palindromic word of ``v``.
 
 :func:`check_identity_suite` is the one check runner; :data:`SUITES` names
 what it checks:
@@ -75,11 +77,11 @@ def group_mul(u: GroupWord, v: GroupWord) -> GroupWord:
 
 
 def act(start: Word, gw: GroupWord) -> Word:
-    """Fold right loop multiplications by the generators into ``start``."""
-    out = start
-    for g in gw.gens:
-        out = mul(out, g)
-    return out
+    """Fold right loop multiplications by the generators into ``start``.
+
+    A generator is a basis word, whose palindromic form is the word itself,
+    so the action is one fold of the generators into ``start``."""
+    return normal_form_chain(start, gw.gens)
 
 
 def s_word(gw: GroupWord) -> GroupWord:

@@ -49,7 +49,6 @@ __all__ = [
     "spine_factors",
     "fine_factors",
     "transpose",
-    "transpose_family",
     "palindromic_splits",
     "is_symmetric",
     "compare",
@@ -115,10 +114,10 @@ class Product(Word):
     _interned: dict[tuple[Word, Word], "Product"] = {}
 
     def __new__(cls, left: Word, right: Word) -> "Product":
-        try:
-            return cls._interned[left, right]
-        except KeyError:
-            pass
+        # ``get``: a miss, which every new word is, raises nothing.
+        found = cls._interned.get((left, right))
+        if found is not None:
+            return found
         if left.size == 0 or right.size == 0:
             raise ValueError("the identity word cannot be a factor")
         self = object.__new__(cls)
@@ -297,28 +296,6 @@ def fine_factors(word: Word) -> tuple[Word, ...]:
 def transpose(word: Word) -> Word:
     """Reverse the spine: ``v1 v2 ... vm  ->  vm ... v2 v1``."""
     return left_assoc(spine_factors(word)[::-1])
-
-
-def transpose_family(word: Word) -> frozenset[Word]:
-    """All words whose double transpose is one of this word's two transposes.
-
-    With fine factors ``(y1, ..., yk)`` these are the two transposes together
-    with the split products ``(yk...yi)(y1...y<i)`` for ``3 <= i <= k`` and
-    ``(y1...y<i)(yk...yi)`` for ``2 <= i <= k-1``; the word itself is always
-    a member.  For a letter the family is the singleton ``{word}``.
-    """
-    t = transpose(word)
-    tt = transpose(t)
-    fine = fine_factors(word)
-    k = len(fine)
-    family = {t, tt}
-    for i in range(3, k + 1):
-        head = left_assoc(fine[i - 1:][::-1])
-        family.add(Product(head, left_assoc(fine[: i - 1])))
-    for i in range(2, k):
-        tail = left_assoc(fine[i - 1:][::-1])
-        family.add(Product(left_assoc(fine[: i - 1]), tail))
-    return frozenset(family)
 
 
 def palindromic_splits(word: Word) -> Iterator[tuple[Word, ...]]:

@@ -21,13 +21,13 @@ from bol2 import (
     Word,
     compare,
     enumerate_basis,
+    fine_factors,
     is_reduced,
     left_assoc,
     normal_form,
     normal_form_chain,
     reduce_product,
     transpose,
-    transpose_family,
 )
 
 AB = Alphabet("ab")
@@ -150,6 +150,29 @@ def normal_form_brute(word: Word) -> Word:
     result = Product(u, v)
     assert reduced_brute(result), result
     return result
+
+
+def transpose_family(word: Word) -> frozenset[Word]:
+    """All words whose double transpose is one of this word's two transposes.
+
+    With fine factors ``(y1, ..., yk)`` these are the two transposes together
+    with the split products ``(yk...yi)(y1...y<i)`` for ``3 <= i <= k`` and
+    ``(y1...y<i)(yk...yi)`` for ``2 <= i <= k-1``; the word itself is always
+    a member.  For a letter the family is the singleton ``{word}``.
+    """
+    t = transpose(word)
+    tt = transpose(t)
+    fine = fine_factors(word)
+    k = len(fine)
+    family = {t, tt}
+    for i in range(3, k + 1):
+        head = left_assoc(fine[i - 1:][::-1])
+        family.add(Product(head, left_assoc(fine[: i - 1])))
+    for i in range(2, k):
+        tail = left_assoc(fine[i - 1:][::-1])
+        family.add(Product(left_assoc(fine[: i - 1]), tail))
+    return frozenset(family)
+
 
 
 def candidate_brute(word: Word) -> bool:

@@ -25,14 +25,19 @@ from bol2 import (
     render,
     spine_factors,
     transpose,
-    transpose_family,
     why_not_in_loop,
 )
 from bol2 import BudgetExceeded, Product
 from bol2.basis import enumerate_filtered
 from bol2.words import word_key
 
-from helpers import ABC, all_words_up_to, candidate_brute, word_strategy
+from helpers import (
+    ABC,
+    all_words_up_to,
+    candidate_brute,
+    transpose_family,
+    word_strategy,
+)
 
 EXAMPLE_D5 = {
     "a", "b", "ba", "((ba)b)a", "(b(ab))a", "(b(ba))a", "((ba)(ab))a",

@@ -13,7 +13,7 @@ from bol2 import InternalInvariantError, Product, cli, left_assoc, parse, render
 from bol2.cli import build_parser, main
 from bol2.verify import SUITES
 
-from helpers import AB
+from helpers import AB, all_words_up_to, transpose_family
 
 EXHAUSTED = "error: wall-clock budget exhausted\n"
 
@@ -97,6 +97,17 @@ class TestTranspose:
         assert payload["transpose"] == "(((ca)b)(bc))a"
         assert payload["double_transpose"] == "(((a(bc))b)a)c"
         assert payload["family_size"] == 8
+
+    def test_family_size_matches_the_built_family(self, capsys, ab, abc):
+        # The command counts the family; the oracle builds it.
+        for alphabet, max_len in [(ab, 4), (abc, 3)]:
+            for w in all_words_up_to(alphabet, max_len):
+                code, out, _ = run(
+                    capsys, "transpose", render(w, alphabet),
+                    "--alphabet", alphabet.symbols, "--format", "json",
+                )
+                assert code == 0
+                assert json.loads(out)["family_size"] == len(transpose_family(w))
 
 
 class TestLoopOps:
@@ -293,16 +304,18 @@ class TestExitCodes:
             assert (code, out, err) == (4, "", EXHAUSTED), command
 
     def test_budget_stops_transpose_of_a_long_flat_run(self):
-        # Without a budget this runs for about 16 s: the transpose family of
-        # a 4,000-letter word has thousands of members of that length.
+        # The family of a 4,000-letter flat run has 7,998 members of that
+        # length; the command counts them instead of building them, so it
+        # ends well inside its budget.
         start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "bol2", "transpose", "ab" * 2000,
-             "--budget", "200"],
+             "--budget", "200", "--format", "json"],
             capture_output=True, text=True, timeout=30,
         )
         elapsed = time.perf_counter() - start
-        assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", EXHAUSTED)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["family_size"] == 7998
         assert elapsed < 2.0
 
     def test_timer_is_off_and_handler_restored_after_main(self, capsys):
@@ -326,14 +339,15 @@ class TestExitCodes:
             signal.signal(signal.SIGALRM, saved)
 
     def test_interrupted_check_leaves_no_wrong_entry(self, capsys, fresh_cache):
-        argv = ["check", "bol", "--max-len", "4", "--format", "json"]
+        # Exhaustive over 27,000 tuples: even with every table warm the check
+        # takes several times the largest budget below.
+        argv = ["check", "bol", "--max-len", "5", "--format", "json"]
         fresh = subprocess.run(
             [sys.executable, "-m", "bol2", *argv],
             capture_output=True, text=True, timeout=60,
         )
         assert fresh.returncode == 0
-        # Cold, the check takes over 100 ms; each run goes on from the
-        # tables the runs before it filled.
+        # Each run goes on from the tables the runs before it filled.
         for ms in ("1", "2", "4", "8", "16"):
             assert run(capsys, *argv, "--budget", ms) == (4, "", EXHAUSTED), ms
         code, out, err = run(capsys, *argv)

@@ -132,6 +132,14 @@ class TestPalindromicForm:
         assert form.sequence == (b, a, b, a, b)
         assert render(left_assoc(form.sequence), ab) == "(((ba)b)a)b"
 
+    def test_equality_and_hash_use_the_half_only(self, ab):
+        a, b = parse("a", ab), parse("b", ab)
+        one, two = PalindromicForm((b, a)), PalindromicForm((b, a))
+        assert one is not two
+        assert one == two and hash(one) == hash(two)
+        assert one != PalindromicForm((a, b))
+        assert "sequence" not in repr(one)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             PalindromicForm(())
@@ -203,6 +211,19 @@ class TestMul:
         for a in enumerate_loop_words(ab, 2):
             images = {mul(a, x) for x in pool}
             assert len(images) == len(pool), render(a, ab)
+
+    def test_mul_is_the_normal_form_of_the_spelled_palindrome(self, ab, abc):
+        # The fold against the tree reduction of the whole word x h1 ... h1.
+        for alphabet, max_len in [(ab, 5), (abc, 4)]:
+            pool = enumerate_loop_words(alphabet, max_len)
+            for y in pool:
+                tail = symmetric_form(y).sequence if y.size else ()
+                for x in pool:
+                    head = (x,) if x.size else ()
+                    expected = normal_form(left_assoc(head + tail))
+                    assert mul(x, y) is expected, (
+                        render(x, alphabet), render(y, alphabet)
+                    )
 
     def test_not_commutative(self, ab):
         x, y = parse("ba", ab), parse("ab", ab)

@@ -21,6 +21,7 @@ from bol2 import (
     reduce_product,
     render,
 )
+from bol2 import normalize
 
 from helpers import (
     AB,
@@ -100,6 +101,28 @@ def test_reduce_product_rejects_unreduced_operands(ab):
     u = Product(parse("a", ab), parse("bb", ab))
     with pytest.raises(InternalInvariantError):
         reduce_product(u, parse("b", ab))
+
+
+def test_chain_rejects_a_non_reduced_product(ab, monkeypatch):
+    # Reduced factors never make one, so break the invariant by hand: once
+    # through a corrupt intern entry (a hit), once through a constructor
+    # that builds a non-reduced word (a miss).
+    a, b = parse("a", ab), parse("b", ab)
+    bad = Product(parse("aa", ab), b)
+    with monkeypatch.context() as patch:
+        patch.setitem(Product._interned, (a, b), bad)
+        with pytest.raises(InternalInvariantError, match="not reduced"):
+            normal_form_chain(a, (b,))
+
+    class Broken:
+        _interned: dict = {}
+
+        def __new__(cls, left, right):
+            return bad
+
+    monkeypatch.setattr(normalize, "Product", Broken)
+    with pytest.raises(InternalInvariantError, match="not reduced"):
+        normal_form_chain(a, (b,))
 
 
 @given(st.lists(word_strategy(AB, max_size=4), max_size=5))

@@ -83,6 +83,21 @@ class TestAction:
         v = gw(ab, "ba", "b")
         assert act(act(IDENTITY, u), v) is act(IDENTITY, group_mul(u, v))
 
+    def test_act_matches_the_mul_fold(self, ab, abc):
+        # act folds the generators directly; mul goes through each
+        # generator's palindromic form, which is the generator itself.
+        for alphabet, max_len in [(ab, 5), (abc, 4)]:
+            basis_words = enumerate_basis(alphabet, max_len)
+            carrier = enumerate_loop_words(alphabet, max_len)
+            starts = carrier[:: len(carrier) // 10][:10]
+            # The mul fold of each group word, from its one-shorter prefix.
+            folded = {(): starts}
+            for n in range(1, 4):
+                for gens in distinct_runs(basis_words, n):
+                    expected = [mul(x, gens[-1]) for x in folded[gens[:-1]]]
+                    folded[gens] = expected
+                    u = GroupWord(gens)
+                    assert [act(x, u) for x in starts] == expected
     def test_s_word_is_the_palindrome_of_the_image(self, ab):
         u = gw(ab, "a", "b")
         image = act(IDENTITY, u)

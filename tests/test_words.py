@@ -20,7 +20,6 @@ from bol2 import (
     render,
     spine_factors,
     transpose,
-    transpose_family,
 )
 from bol2.words import fine_factors, word_key
 
@@ -32,6 +31,7 @@ from helpers import (
     family_brute,
     subwords,
     symmetric_brute_set,
+    transpose_family,
     transpose_twice,
     word_strategy,
 )
@@ -196,13 +196,16 @@ class TestFamily:
         for w in all_words_up_to(ab, 5):
             assert transpose_family(w) == family_brute(w, ab), render(w, ab)
 
-    def test_cardinality(self, ab):
+    def test_cardinality(self, ab, abc):
         # k-1 rearrangements per transpose when the transposes coincide,
-        # 2(k-1) otherwise, where k counts fine factors.
-        for w in all_words_up_to(ab, 6):
-            k = len(fine_factors(w))
-            expected = k - 1 if transpose(w) is transpose_twice(w) else 2 * (k - 1)
-            assert len(transpose_family(w)) == max(expected, 1), render(w, ab)
+        # 2(k-1) otherwise, where k counts fine factors: the count that
+        # ``bol2 transpose`` reports without building the family.
+        for alphabet, max_len in [(ab, 7), (abc, 5)]:
+            for w in all_words_up_to(alphabet, max_len):
+                k = len(fine_factors(w))
+                twin = transpose(w) is transpose_twice(w)
+                expected = max(k - 1 if twin else 2 * (k - 1), 1)
+                assert len(transpose_family(w)) == expected, render(w, alphabet)
 
     def test_minimum(self, ab):
         for w in all_words_up_to(ab, 5):
