@@ -31,7 +31,7 @@ import itertools
 from types import SimpleNamespace
 from typing import Callable, Iterator
 
-from .normalize import is_reduced, normal_form
+from .normalize import is_reduced, normal_form, normal_form_chain
 from .words import (
     IDENTITY,
     Alphabet,
@@ -43,7 +43,6 @@ from .words import (
     is_symmetric,
     render,
     spine_factors,
-    transpose,
     word_key,
 )
 
@@ -81,8 +80,10 @@ def is_candidate(word: Word) -> bool:
     # child, is a letter: two field reads reject most words outright.
     if not (word.reduced and word.right.size == 1):
         return False
-    t = transpose(word)
-    return t is not word and t.reduced and compare(word, t) < 0
+    # The transpose folded, not built: the reversed spine keeps the word's
+    # size exactly when the transpose is reduced, and is then the transpose.
+    t = normal_form_chain(IDENTITY, spine_factors(word)[::-1])
+    return t.size == word.size and t is not word and compare(word, t) < 0
 
 
 def in_basis(word: Word) -> bool:

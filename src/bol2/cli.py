@@ -9,7 +9,9 @@ interrupt may land between any two bytecodes, so each memo store writes a
 finished value in one assignment: the ``Letter`` and ``Product`` intern
 tables, ``SHARED_CACHE.basis`` and ``.forms``, and ``basis._reduced_words``.
 So an interrupted command leaves no wrong entry, and a length level
-interrupted while it is built is never stored.
+interrupted while it is built is never stored.  The console script enters
+through :func:`run`, which flushes the output and ends the process without
+freeing the intern table.
 
 Exit codes: 0 success (checks passed), 1 a check reported failures,
 2 malformed input or usage, 3 an operand is not a loop element (with a
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import sys
 from contextlib import contextmanager
@@ -50,7 +53,7 @@ from .words import (
     transpose,
 )
 
-__all__ = ["main", "build_parser", "BudgetExceeded", "NotLoopElement"]
+__all__ = ["main", "run", "build_parser", "BudgetExceeded", "NotLoopElement"]
 
 
 class BudgetExceeded(RuntimeError):
@@ -250,6 +253,22 @@ def _cmd_check(ns) -> int:
     return 0 if report.ok else 1
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer of at least ``minimum``, so that a bound
+    that would scan nothing is refused with exit 2 instead of reporting on
+    an empty universe."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {clip(text)}"
+            )
+        return value
+
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -318,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("right", metavar="b")
     p.add_argument(
         "--bound",
-        type=int,
+        type=_at_least(1),
         default=None,
         help="search length bound (default: |a|+|b|+2)",
     )
@@ -338,24 +357,26 @@ def build_parser() -> argparse.ArgumentParser:
         "or the loop carrier (B) up to a length",
     )
     p.add_argument("kind", choices=sorted(_ENUM_KINDS))
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_at_least(1), required=True)
     p.set_defaults(handler=_cmd_enum)
 
     p = sub.add_parser(
         "check", parents=[common], help="run an identity or structure suite"
     )
     p.add_argument("suite", choices=SUITES)
-    p.add_argument("--max-len", type=int, default=3, help="word length bound")
+    p.add_argument(
+        "--max-len", type=_at_least(1), default=3, help="word length bound"
+    )
     p.add_argument(
         "--max-seq",
-        type=int,
+        type=_at_least(1),
         default=3,
         help="generator-sequence bound (group words, palindrome halves)",
     )
-    p.add_argument("--sample", type=int, default=2000, help="sample size")
+    p.add_argument("--sample", type=_at_least(1), default=2000, help="sample size")
     p.add_argument(
         "--exhaustive-limit",
-        type=int,
+        type=_at_least(0),
         default=200_000,
         help="largest tuple universe scanned exhaustively",
     )
@@ -387,5 +408,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     return code
 
 
+def run() -> None:
+    """The console entry point: :func:`main`, then exit at once.
+
+    Both streams are flushed, and the process ends by ``os._exit`` without
+    tearing down the heap: freeing a large intern table one word at a time
+    can take as long again as the command did.  In-process callers use
+    :func:`main`, which returns normally."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -12,8 +12,10 @@ where the palindrome is the one denoting ``y``: :func:`mul` is one
 which each form builds once, into ``x``.  With the identity word
 adjoined this operation makes the carrier a Bol loop in which every element
 is its own inverse: ``x*x = 1`` and ``(x*y)*y = x``, so right division is
-right multiplication, while left division has no closed form and is done by
-bounded search.
+right multiplication.  Left division has a closed form too,
+``a \\ b = (a(ba))a``: put ``x = y = a`` and ``z = ba`` in the right Bol law
+``((xy)z)y = x((yz)y)`` to get ``a((a(ba))a) = ((aa)(ba))a = (ba)a = b``.
+:func:`ldiv` still finds the quotient by a bounded search.
 
 The canonical form is found by steering a word toward its transposes:
 
@@ -28,6 +30,12 @@ The canonical form is found by steering a word toward its transposes:
 * else the common transpose is an odd palindromic product of basis words,
   and its unique such factorization is the core.
 
+Neither transpose is built as a word.  Each is a rearrangement of the
+element's spine, folded through :func:`~bol2.normalize.normal_form_chain`:
+the fold gives the transpose itself when it keeps the element's size, and
+the transpose's normal form when it shrinks, which is all the steps above
+use.  So no non-reduced transpose enters the intern table.
+
 Wrapping may create equal adjacent entries where wrap meets core; those
 cancel in pairs (the palindrome squares them away), which can also merge the
 two middle entries into one.  Every computed form is checked to denote ``g``
@@ -39,12 +47,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .basis import SHARED_CACHE, enumerate_loop_words, in_basis, in_loop
-from .normalize import InternalInvariantError, normal_form, normal_form_chain
+from .normalize import InternalInvariantError, normal_form_chain
 from .words import (
     IDENTITY,
     Alphabet,
     Word,
-    left_assoc,
     palindromic_splits,
     spine_factors,
 )
@@ -136,34 +143,37 @@ def symmetric_form(element: Word) -> PalindromicForm:
     if in_basis(element):
         form = PalindromicForm((element,))
     else:
+        # Each transpose is folded, not built: ``t`` is the transpose when it
+        # kept the element's size, and otherwise the transpose's normal form.
         wrap = factors[::-1]
-        # The double transpose is the fine factorization: the spine with its
-        # last factor unfolded into its own reversed spine.
-        unfolded = spine_factors(factors[-1])[::-1]
-        t = left_assoc(wrap)
-        tt = left_assoc(factors[:-1] + unfolded)
-        # (as, bl, ..., b1): multiplying this prefix into the double transpose
-        # consumes its leading run b1 ... bl one step at a time, then
-        # re-attaches as.
-        unfold_wrap = (factors[-1],) + unfolded
-        if not t.reduced:
+        t = normal_form_chain(IDENTITY, wrap)
+        if t.size < element.size:
             core = symmetric_form(_shrunk(t, element)).half
-        elif not tt.reduced:
-            wrap = unfold_wrap
-            core = symmetric_form(_shrunk(tt, element)).half
-        elif t is not tt:
-            if in_basis(t):
-                core = (t,)
-            elif in_basis(tt):
-                wrap = unfold_wrap
-                core = (tt,)
-            else:
-                raise InternalInvariantError(
-                    f"neither transpose of {element!r} is a basis member"
-                )
         else:
-            # The common transpose is symmetric: extract its palindrome.
-            core = _palindromic_half(t)
+            # The double transpose is the fine factorization: the spine with
+            # its last factor unfolded into its own reversed spine.
+            unfolded = spine_factors(factors[-1])[::-1]
+            tt = normal_form_chain(IDENTITY, factors[:-1] + unfolded)
+            # (as, bl, ..., b1): multiplying this prefix into the double
+            # transpose consumes its leading run b1 ... bl one step at a
+            # time, then re-attaches as.
+            unfold_wrap = (factors[-1],) + unfolded
+            if tt.size < element.size:
+                wrap = unfold_wrap
+                core = symmetric_form(_shrunk(tt, element)).half
+            elif t is not tt:
+                if in_basis(t):
+                    core = (t,)
+                elif in_basis(tt):
+                    wrap = unfold_wrap
+                    core = (tt,)
+                else:
+                    raise InternalInvariantError(
+                        f"neither transpose of {element!r} is a basis member"
+                    )
+            else:
+                # The common transpose is symmetric: extract its palindrome.
+                core = _palindromic_half(t)
         form = PalindromicForm(_cancel_junction(wrap, core))
 
     if normal_form_chain(IDENTITY, form.sequence) is not element:
@@ -174,10 +184,9 @@ def symmetric_form(element: Word) -> PalindromicForm:
     return form
 
 
-def _shrunk(transposed: Word, element: Word) -> Word:
-    # Normal form of a non-reduced transpose: strictly shorter, still in the
-    # carrier and non-identity, so the recursion terminates.
-    reduced = normal_form(transposed)
+def _shrunk(reduced: Word, element: Word) -> Word:
+    # The folded normal form of a non-reduced transpose: strictly shorter,
+    # still in the carrier and non-identity, so the recursion terminates.
     if reduced.size == 0 or reduced.size >= element.size or not in_loop(reduced):
         raise InternalInvariantError(
             f"transpose of {element!r} reduced to unusable {reduced!r}"
@@ -207,9 +216,11 @@ def ldiv(
     a: Word, b: Word, alphabet: Alphabet, max_len: int | None = None
 ) -> Word | None:
     """The ``x`` with ``a * x = b``, by search over carrier elements of length
-    at most ``max_len`` (default ``|a| + |b| + 2``).  Returns ``None`` when no
-    solution exists within the bound — the bound, not the loop, may be the
-    limiting factor.  On the command line, ``--budget`` stops a long search."""
+    at most ``max_len`` (default ``|a| + |b| + 2``).
+
+    The quotient always exists, is unique, and is ``(a(ba))a`` (see the
+    module docstring); the search returns ``None`` exactly when it is longer
+    than the bound.  On the command line, ``--budget`` stops a long search."""
     if a.size == 0:
         return b
     if b.size == 0:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .words import IDENTITY, Product, Word
+from .words import IDENTITY, Product, Word, new_product
 
 __all__ = [
     "InternalInvariantError",
@@ -89,7 +89,14 @@ def normal_form_chain(head: Word, factors: Iterable[Word]) -> Word:
 
     A non-reduced argument is normalized first, so the fold only ever
     multiplies reduced words.  Each step is :func:`reduce_product` written
-    out in one loop: the two collapses, then one read of the intern table.
+    out in one loop: the two collapses, then one read of the intern table,
+    and on a miss the product is built without a second read.
+
+    The fold never builds a non-reduced word, so it can test a
+    rearrangement of factors without interning a throwaway one: when the
+    factors are reduced, the result has their total size exactly when no
+    collapse happened, and is then their left-associated product itself;
+    otherwise it is that product's (strictly shorter) normal form.
     """
     acc = normal_form(head)
     interned = Product._interned
@@ -107,7 +114,7 @@ def normal_form_chain(head: Word, factors: Iterable[Word]) -> Word:
         else:
             w = interned.get((acc, f))
             if w is None:
-                w = Product(acc, f)
+                w = new_product(acc, f)
             if not w.reduced:
                 raise InternalInvariantError(
                     f"product of reduced words is not reduced: {w!r}"

@@ -20,6 +20,10 @@ keyed by the pair of children, and the memo tables of the layers above
 (basis membership, canonical forms) are plain dicts.  Each word also
 carries its size and whether it is reduced (no subtree ``uu`` or ``(uv)v``);
 a product computes both from its two children when it is first built.
+Interned words live as long as the process, so the layers above test a
+rearrangement they do not keep (a transpose, the head of a palindromic
+split) without building it: a head is a left descendant of the word, and a
+transpose is folded through :func:`~bol2.normalize.normal_form_chain`.
 
 >>> ab = Alphabet("ab")
 >>> w = parse("((ba)b)a", ab)
@@ -120,21 +124,31 @@ class Product(Word):
             return found
         if left.size == 0 or right.size == 0:
             raise ValueError("the identity word cannot be a factor")
-        self = object.__new__(cls)
-        self.left = left
-        self.right = right
-        self.size = left.size + right.size
-        # The root is the only new subtree, so only it can add a violation.
-        self.reduced = (
-            left.reduced
-            and right.reduced
-            and left is not right
-            and not (isinstance(left, Product) and left.right is right)
-        )
-        # Words hash and compare by identity, so the pair of children is the
-        # key itself: no id integers are boxed per entry or per lookup.
-        cls._interned[left, right] = self
-        return self
+        return new_product(left, right)
+
+
+def new_product(left: Word, right: Word) -> Product:
+    """Build and intern the word ``(left right)``.
+
+    The caller has already looked the pair up in ``Product._interned`` and
+    missed, and neither factor is the identity word; :class:`Product` does
+    both before it calls this, and so does the fold of :mod:`.normalize`,
+    which thereby reads the table once per new product."""
+    self = object.__new__(Product)
+    self.left = left
+    self.right = right
+    self.size = left.size + right.size
+    # The root is the only new subtree, so only it can add a violation.
+    self.reduced = (
+        left.reduced
+        and right.reduced
+        and left is not right
+        and not (isinstance(left, Product) and left.right is right)
+    )
+    # Words hash and compare by identity, so the pair of children is the
+    # key itself: no id integers are boxed per entry or per lookup.
+    Product._interned[left, right] = self
+    return self
 
 
 @dataclass(frozen=True)
@@ -294,7 +308,10 @@ def fine_factors(word: Word) -> tuple[Word, ...]:
 
 
 def transpose(word: Word) -> Word:
-    """Reverse the spine: ``v1 v2 ... vm  ->  vm ... v2 v1``."""
+    """Reverse the spine: ``v1 v2 ... vm  ->  vm ... v2 v1``.
+
+    This builds the transpose, reduced or not; the command line prints it.
+    """
     return left_assoc(spine_factors(word)[::-1])
 
 
@@ -302,20 +319,25 @@ def palindromic_splits(word: Word) -> Iterator[tuple[Word, ...]]:
     """Every odd palindromic product ``u1 u2 ... um ... u2 u1`` with at least
     three factors whose left-associated word is ``word``, as its factors.
 
-    Every left-associated factorization coarsens the spine, so it suffices to
-    try each split of the spine into a head run (the candidate ``u1``)
-    followed by an even number of single factors.
+    Every left-associated factorization coarsens the spine, so a split is a
+    head run of spine factors (the candidate ``u1``) followed by an even
+    number of single factors.  The head must be the last spine factor, whose
+    size fixes the length of the run, so there is at most one split.  The
+    head of a run is a left descendant of ``word``: it is found by stepping
+    down left children, and no word is built.
     """
     if word.size < 3:
         return
     factors = spine_factors(word)
-    r = len(factors)
-    for j in range(1, r - 1):
-        if (r - j) % 2:
-            continue
-        candidate = (left_assoc(factors[:j]),) + factors[j:]
-        if candidate == candidate[::-1]:
-            yield candidate
+    last = factors[-1]
+    # ``head`` is the product of the first ``j`` spine factors.
+    head, j = word, len(factors)
+    while head.size > last.size:
+        head = head.left
+        j -= 1
+    between = factors[j:-1]
+    if head is last and len(between) % 2 and between == between[::-1]:
+        yield (head,) + factors[j:]
 
 
 def is_symmetric(word: Word) -> bool:

@@ -27,6 +27,7 @@ from bol2 import (
     normal_form,
     normal_form_chain,
     reduce_product,
+    spine_factors,
     transpose,
 )
 
@@ -189,6 +190,24 @@ def candidate_brute(word: Word) -> bool:
         and all(is_reduced(x) for x in family)
         and all(compare(word, x) <= 0 for x in family)
     )
+
+
+def palindromic_splits_brute(word: Word) -> list[tuple[Word, ...]]:
+    """The literal split search: each head run of the spine, built as a word,
+    followed by an even number of single factors, kept when the whole tuple
+    reads the same both ways."""
+    if word.size < 3:
+        return []
+    factors = spine_factors(word)
+    r = len(factors)
+    splits = []
+    for j in range(1, r - 1):
+        if (r - j) % 2:
+            continue
+        candidate = (left_assoc(factors[:j]),) + factors[j:]
+        if candidate == candidate[::-1]:
+            splits.append(candidate)
+    return splits
 
 
 def family_brute(word: Word, alphabet: Alphabet) -> frozenset[Word]:

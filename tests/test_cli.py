@@ -1,6 +1,7 @@
 """Command-line front end: golden outputs, formats, exit codes."""
 
 import argparse
+import io
 import json
 import signal
 import subprocess
@@ -207,6 +208,35 @@ class TestCheck:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv,complaint",
+        [
+            (["check", "bol", "--max-len", "3", "--sample", "-5",
+              "--exhaustive-limit", "0"], "--sample: must be at least 1, got -5"),
+            (["check", "bol", "--max-len", "3", "--sample", "0"],
+             "--sample: must be at least 1, got 0"),
+            (["enum", "B", "--max-len", "-3"], "--max-len: must be at least 1, got -3"),
+            (["check", "bol", "--max-len", "0"], "--max-len: must be at least 1, got 0"),
+            (["check", "transversal", "--max-seq", "0"],
+             "--max-seq: must be at least 1, got 0"),
+            (["ldiv", "a", "b", "--bound", "0"], "--bound: must be at least 1, got 0"),
+            (["check", "bol", "--exhaustive-limit", "-1"],
+             "--exhaustive-limit: must be at least 0, got -1"),
+        ],
+    )
+    def test_bound_below_its_minimum_is_2(self, capsys, argv, complaint):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"bol2 {argv[0]}: error: argument {complaint}"]
+
+    def test_exhaustive_limit_zero_samples(self, capsys):
+        code, out, _ = run(
+            capsys, "check", "bol", "--max-len", "2", "--exhaustive-limit", "0",
+            "--sample", "5", "--format", "json",
+        )
+        assert code == 0 and json.loads(out)["cases"] == 5
+
     def test_syntax_error_is_2(self, capsys):
         code, _, err = run(capsys, "normalize", "a(")
         assert code == 2
@@ -411,3 +441,43 @@ def test_module_entry_point_runs_in_a_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "ab\n"
+
+
+@pytest.mark.parametrize(
+    "code,argv",
+    [
+        (0, ["mul", "a", "b"]),
+        (2, ["enum", "B", "--max-len", "-3"]),
+        (4, ["check", "bol", "--budget", "0"]),
+    ],
+)
+def test_console_entry_prints_and_exits_as_main_returns(capsys, code, argv):
+    expected = run(capsys, *argv)
+    assert expected[0] == code
+    proc = subprocess.run(
+        [sys.executable, "-m", "bol2", *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+def test_console_entry_flushes_both_streams_before_exiting(monkeypatch):
+    events = []
+
+    class Stream(io.StringIO):
+        def __init__(self, name):
+            super().__init__()
+            self.name = name
+
+        def flush(self):
+            events.append(("flush", self.name))
+            super().flush()
+
+    out, err = Stream("stdout"), Stream("stderr")
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    monkeypatch.setattr(sys, "argv", ["bol2", "mul", "a", "b"])
+    monkeypatch.setattr(cli.os, "_exit", lambda code: events.append(("exit", code)))
+    cli.run()
+    assert (out.getvalue(), err.getvalue()) == ("ab\n", "")
+    assert events == [("flush", "stdout"), ("flush", "stderr"), ("exit", 0)]

@@ -6,6 +6,9 @@ enumerating *all* short sequences and asserting injectivity along the way.
 ``symmetric_form`` must reproduce that index entry for entry.
 """
 
+import subprocess
+import sys
+
 import pytest
 
 from bol2 import (
@@ -123,6 +126,29 @@ class TestSymmetricForm:
         fresh_cache.forms.clear()
         again = symmetric_form(w)
         assert again is not first and again.half == first.half
+
+    def test_cold_forms_intern_no_non_reduced_word(self):
+        # A fresh interpreter, so that no word built by another test can hide
+        # one.  The transposes are folded, not built: a non-reduced transpose
+        # never reaches the intern table.
+        script = (
+            "from bol2 import Alphabet, Product, SHARED_CACHE,"
+            " enumerate_loop_words, symmetric_form\n"
+            "for letters, max_len in (('ab', 8), ('abc', 6)):\n"
+            "    SHARED_CACHE.forms.clear()\n"
+            "    SHARED_CACHE.basis.clear()\n"
+            "    carrier = enumerate_loop_words(Alphabet(letters), max_len)[1:]\n"
+            "    before = set(Product._interned.values())\n"
+            "    for g in carrier:\n"
+            "        symmetric_form(g)\n"
+            "    added = set(Product._interned.values()) - before\n"
+            "    print(len(carrier), sum(not w.reduced for w in added))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "371 0\n1779 0\n"
 
 
 class TestPalindromicForm:
@@ -254,6 +280,16 @@ class TestDivision:
         found = ldiv(b, target, ab, max_len=10)
         assert found is parse("(((((ab)a)(((ba)b)a))a)b)a", ab)
         assert mul(b, found) is target
+
+    def test_left_division_has_a_closed_form(self, ab):
+        # a \ b = (a(ba))a: x = y = a and z = ba in the right Bol law give
+        # a((a(ba))a) = ((aa)(ba))a = (ba)a = b.
+        pool = enumerate_loop_words(ab, 6)
+        assert len(pool) == 64
+        for a in pool:
+            for x in pool:
+                b = mul(a, x)
+                assert mul(mul(a, mul(b, a)), a) is x, (render(a, ab), render(x, ab))
 
     def test_ldiv_inverts_mul_within_bound(self, ab):
         pool = enumerate_loop_words(ab, 2)

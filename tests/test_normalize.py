@@ -105,24 +105,23 @@ def test_reduce_product_rejects_unreduced_operands(ab):
 
 def test_chain_rejects_a_non_reduced_product(ab, monkeypatch):
     # Reduced factors never make one, so break the invariant by hand: once
-    # through a corrupt intern entry (a hit), once through a constructor
-    # that builds a non-reduced word (a miss).
+    # through a corrupt intern entry (a hit), once through a builder that
+    # makes a non-reduced word (a miss).  The patched builder writes nothing,
+    # so the real intern table gets its entry back unchanged.
     a, b = parse("a", ab), parse("b", ab)
+    ab_word = Product(a, b)
     bad = Product(parse("aa", ab), b)
     with monkeypatch.context() as patch:
         patch.setitem(Product._interned, (a, b), bad)
         with pytest.raises(InternalInvariantError, match="not reduced"):
             normal_form_chain(a, (b,))
 
-    class Broken:
-        _interned: dict = {}
-
-        def __new__(cls, left, right):
-            return bad
-
-    monkeypatch.setattr(normalize, "Product", Broken)
-    with pytest.raises(InternalInvariantError, match="not reduced"):
-        normal_form_chain(a, (b,))
+    with monkeypatch.context() as patch:
+        patch.delitem(Product._interned, (a, b))
+        patch.setattr(normalize, "new_product", lambda left, right: bad)
+        with pytest.raises(InternalInvariantError, match="not reduced"):
+            normal_form_chain(a, (b,))
+    assert Product._interned[a, b] is ab_word
 
 
 @given(st.lists(word_strategy(AB, max_size=4), max_size=5))

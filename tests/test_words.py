@@ -14,6 +14,7 @@ from bol2 import (
     Word,
     WordSyntaxError,
     compare,
+    enumerate_reduced,
     is_symmetric,
     left_assoc,
     parse,
@@ -21,7 +22,7 @@ from bol2 import (
     spine_factors,
     transpose,
 )
-from bol2.words import fine_factors, word_key
+from bol2.words import fine_factors, palindromic_splits, word_key
 
 from helpers import (
     AB,
@@ -29,6 +30,7 @@ from helpers import (
     all_words_up_to,
     enumerate_words,
     family_brute,
+    palindromic_splits_brute,
     subwords,
     symmetric_brute_set,
     transpose_family,
@@ -269,6 +271,21 @@ class TestSymmetric:
         brute = symmetric_brute_set(ab, 6)
         for w in all_words_up_to(ab, 6):
             assert is_symmetric(w) == (w in brute), render(w, ab)
+
+    def test_splits_match_the_built_head_oracle(self, ab, abc):
+        words = [
+            w
+            for alphabet, max_len in ((ab, 8), (abc, 6))
+            for n in range(1, max_len + 1)
+            for w in enumerate_reduced(alphabet, n)
+        ]
+        assert len(words) == 29_501
+        symmetric = 0
+        for w in words:
+            splits = list(palindromic_splits(w))
+            assert splits == palindromic_splits_brute(w), repr(w)
+            symmetric += bool(splits)
+        assert symmetric > 0
 
     @given(word_strategy(AB, 3), word_strategy(AB, 2))
     def test_explicit_palindromes_are_symmetric(self, mid, outer):
