@@ -83,7 +83,8 @@ def is_candidate(word: Word) -> bool:
     # The transpose folded, not built: the reversed spine keeps the word's
     # size exactly when the transpose is reduced, and is then the transpose.
     t = normal_form_chain(IDENTITY, spine_factors(word)[::-1])
-    return t.size == word.size and t is not word and compare(word, t) < 0
+    # A shrunk fold is shorter and sorts first, and ``compare(word, word)`` is 0.
+    return compare(word, t) < 0
 
 
 def in_basis(word: Word) -> bool:

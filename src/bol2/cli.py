@@ -279,9 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument(
-        "--seed", type=int, default=0, help="seed for sampled checks (default: 0)"
-    )
-    common.add_argument(
         "--budget",
         type=float,
         default=None,
@@ -379,6 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_at_least(0),
         default=200_000,
         help="largest tuple universe scanned exhaustively",
+    )
+    p.add_argument(
+        "--seed", type=int, default=0, help="seed for sampled checks (default: 0)"
     )
     p.set_defaults(handler=_cmd_check)
 

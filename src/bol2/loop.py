@@ -52,7 +52,7 @@ from .words import (
     IDENTITY,
     Alphabet,
     Word,
-    palindromic_splits,
+    palindromic_split,
     spine_factors,
 )
 
@@ -113,18 +113,12 @@ def _cancel_junction(wrap: tuple[Word, ...], core: tuple[Word, ...]) -> tuple[Wo
 
 
 def _palindromic_half(word: Word) -> tuple[Word, ...]:
-    """The half of the unique odd palindromic spine split of ``word`` whose
-    entries are all basis members."""
-    found: tuple[Word, ...] | None = None
-    for cand in palindromic_splits(word):
-        if not all(in_basis(x) for x in cand):
-            continue
-        if found is not None:
-            raise InternalInvariantError(f"ambiguous palindromic split: {word!r}")
-        found = cand[: (len(cand) + 1) // 2]
-    if found is None:
+    """The half of the unique odd palindromic spine split of ``word``, whose
+    entries must all be basis members."""
+    split = palindromic_split(word)
+    if split is None or not all(in_basis(x) for x in split):
         raise InternalInvariantError(f"no palindromic split over the basis: {word!r}")
-    return found
+    return split[: (len(split) + 1) // 2]
 
 
 def symmetric_form(element: Word) -> PalindromicForm:

@@ -25,7 +25,9 @@ transversal  every group word that moves the identity returns to its
 ===========  ==========================================================
 
 Universes are exhaustive when small enough, otherwise a seeded sample; every
-report records what was scanned, so the checks are reproducible.  A check
+report records what was scanned, so the checks are reproducible.  unique-form
+and transversal share one universe of runs (1 to ``max_seq`` basis words,
+adjacent entries distinct); ``nuclei`` alone refuses to sample.  A check
 takes no time limit; the command line's ``--budget`` interrupts it.
 """
 
@@ -228,40 +230,61 @@ def _nuclei_suite(which, alphabet, spec) -> CheckReport:
     return report
 
 
-def _unique_form_suite(which, alphabet, spec) -> CheckReport:
-    """Distinct palindromic halves (entries: basis words of length <=
-    ``max_len``; half length <= ``max_seq``) must denote distinct non-identity
-    elements, each having that half as its canonical form."""
+def _runs(which, alphabet, spec, what, unit):
+    """The run universe shared by unique-form and transversal: runs of 1 to
+    ``spec.max_seq`` basis words of length <= ``spec.max_len`` with adjacent
+    entries distinct, as :func:`_universe` cases; ``what`` names a run."""
     gens = enumerate_basis(alphabet, spec.max_len)
-    report = CheckReport(
+    n = len(gens)
+
+    def draw(rng):
+        run: tuple[Word, ...] = ()
+        # One basis word has no run of two: draw only its single run.
+        for _ in range(rng.randint(1, spec.max_seq if n > 1 else 1)):
+            g = rng.choice(gens)
+            while run and run[-1] is g:
+                g = rng.choice(gens)
+            run += (g,)
+        return run
+
+    return _universe(
         which,
-        f"palindromic halves of length <= {spec.max_seq} over the "
-        f"{len(gens)} basis words of length <= {spec.max_len} on "
-        f"{alphabet.symbols!r}, exhaustive",
+        spec,
+        f"{what} over the {n} basis words of length <= {spec.max_len} on "
+        f"{alphabet.symbols!r}",
+        unit,
+        sum(n * (n - 1) ** (k - 1) for k in range(1, spec.max_seq + 1)),
+        (run for k in range(1, spec.max_seq + 1) for run in _distinct_runs(gens, k)),
+        draw,
     )
+
+
+def _unique_form_suite(which, alphabet, spec) -> CheckReport:
+    """Distinct palindromic halves (runs of basis words) must denote distinct
+    non-identity elements, each having that half as its canonical form."""
+    what = f"palindromic halves of length <= {spec.max_seq}"
+    halves, report = _runs(which, alphabet, spec, what, "halves")
 
     def fmt(half):
         return "(" + ", ".join(render(h, alphabet) for h in half) + ")"
 
     index: dict[Word, tuple[Word, ...]] = {}
-    for m in range(1, spec.max_seq + 1):
-        for half in _distinct_runs(gens, m):
-            report.cases += 1
-            value = normal_form_chain(IDENTITY, half + half[-2::-1])
-            if value.size == 0:
-                report.failures.append(f"{fmt(half)} denotes the identity")
-            elif value in index:
-                report.failures.append(
-                    f"collision: {fmt(index[value])} and {fmt(half)} both "
-                    f"denote {render(value, alphabet)}"
-                )
-            else:
-                index[value] = half
-                if symmetric_form(value).half != half:
-                    report.failures.append(
-                        f"{fmt(half)} denotes {render(value, alphabet)} but is "
-                        f"not its canonical form"
-                    )
+    for half in halves:
+        report.cases += 1
+        value = normal_form_chain(IDENTITY, half + half[-2::-1])
+        if value.size == 0:
+            report.failures.append(f"{fmt(half)} denotes the identity")
+        # A sampled half may repeat; only a different half is a collision.
+        elif index.setdefault(value, half) != half:
+            report.failures.append(
+                f"collision: {fmt(index[value])} and {fmt(half)} both "
+                f"denote {render(value, alphabet)}"
+            )
+        elif symmetric_form(value).half != half:
+            report.failures.append(
+                f"{fmt(half)} denotes {render(value, alphabet)} but is "
+                f"not its canonical form"
+            )
     return report
 
 
@@ -269,28 +292,8 @@ def _transversal_suite(which, alphabet, spec) -> CheckReport:
     """Every group word ``g`` moving the identity to ``v != 1`` must return to
     the stabilizer after the palindromic word of ``v``:
     ``act(1, g * s_word(g)) = 1``."""
-    gens = enumerate_basis(alphabet, spec.max_len)
-    n = len(gens)
-
-    def draw(rng):
-        run: tuple[Word, ...] = ()
-        for _ in range(rng.randint(1, spec.max_seq)):
-            g = rng.choice(gens)
-            while run and run[-1] is g:
-                g = rng.choice(gens)
-            run += (g,)
-        return run
-
-    runs, report = _universe(
-        which,
-        spec,
-        f"group words of <= {spec.max_seq} generators over the {n} basis "
-        f"words of length <= {spec.max_len} on {alphabet.symbols!r}",
-        "words",
-        sum(n * (n - 1) ** (k - 1) for k in range(1, spec.max_seq + 1)),
-        (run for k in range(1, spec.max_seq + 1) for run in _distinct_runs(gens, k)),
-        draw,
-    )
+    what = f"group words of <= {spec.max_seq} generators"
+    runs, report = _runs(which, alphabet, spec, what, "words")
     for run in runs:
         report.cases += 1
         gw = GroupWord(run)

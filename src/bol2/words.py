@@ -53,7 +53,7 @@ __all__ = [
     "spine_factors",
     "fine_factors",
     "transpose",
-    "palindromic_splits",
+    "palindromic_split",
     "is_symmetric",
     "compare",
     "word_key",
@@ -315,9 +315,10 @@ def transpose(word: Word) -> Word:
     return left_assoc(spine_factors(word)[::-1])
 
 
-def palindromic_splits(word: Word) -> Iterator[tuple[Word, ...]]:
-    """Every odd palindromic product ``u1 u2 ... um ... u2 u1`` with at least
-    three factors whose left-associated word is ``word``, as its factors.
+def palindromic_split(word: Word) -> tuple[Word, ...] | None:
+    """The odd palindromic product ``u1 u2 ... um ... u2 u1`` with at least
+    three factors whose left-associated word is ``word``, as its factors, or
+    ``None`` when there is none.
 
     Every left-associated factorization coarsens the spine, so a split is a
     head run of spine factors (the candidate ``u1``) followed by an even
@@ -327,7 +328,7 @@ def palindromic_splits(word: Word) -> Iterator[tuple[Word, ...]]:
     down left children, and no word is built.
     """
     if word.size < 3:
-        return
+        return None
     factors = spine_factors(word)
     last = factors[-1]
     # ``head`` is the product of the first ``j`` spine factors.
@@ -337,13 +338,14 @@ def palindromic_splits(word: Word) -> Iterator[tuple[Word, ...]]:
         j -= 1
     between = factors[j:-1]
     if head is last and len(between) % 2 and between == between[::-1]:
-        yield (head,) + factors[j:]
+        return (head,) + factors[j:]
+    return None
 
 
 def is_symmetric(word: Word) -> bool:
     """Whether the word is an odd palindromic product ``u1 u2 ... um ... u2 u1``
     with at least three factors."""
-    return any(palindromic_splits(word))
+    return palindromic_split(word) is not None
 
 
 def compare(u: Word, v: Word) -> int:

@@ -206,6 +206,18 @@ class TestCheck:
         assert code == 0
         assert "cases: 9" in out.splitlines()
 
+    def test_unique_form_samples_a_large_universe(self, capsys):
+        # Runs of up to 9 basis words of length <= 9 are far too many to
+        # scan, so the default limit replaces them by a seeded sample.
+        code, out, _ = run(
+            capsys, "check", "unique-form", "--max-len", "9", "--max-seq", "9",
+            "--budget", "20000",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert "cases: 2000" in lines and "seed: 0" in lines
+        assert lines[-1] == "verdict: pass"
+
 
 class TestExitCodes:
     @pytest.mark.parametrize(
@@ -229,6 +241,13 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         errors = [line for line in err.splitlines() if "error:" in line]
         assert errors == [f"bol2 {argv[0]}: error: argument {complaint}"]
+
+    def test_seed_belongs_to_check_alone(self, capsys):
+        code, out, err = run(capsys, "enum", "B", "--max-len", "3", "--seed", "1")
+        assert (code, out) == (2, "")
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == ["bol2: error: unrecognized arguments: --seed 1"]
+        assert "Traceback" not in err
 
     def test_exhaustive_limit_zero_samples(self, capsys):
         code, out, _ = run(

@@ -1,9 +1,12 @@
 """Group words over the basis, the loop action, and the check harness."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from bol2 import (
     IDENTITY,
+    Alphabet,
     CheckReport,
     GroupWord,
     SampleSpec,
@@ -148,6 +151,43 @@ class TestSuites:
         report = check_identity_suite("unique-form", ab, SampleSpec(max_len=3, max_seq=2))
         assert report.ok
         assert report.cases == 9  # 3 singleton halves + 3*2 pairs
+        assert report.seed is None and report.universe.endswith("exhaustive (9 halves)")
+
+    def test_unique_form_sampled_repeats_are_not_collisions(self, ab):
+        # 50 draws from 9 halves: repeats are certain, and none is a failure.
+        spec = SampleSpec(max_len=3, max_seq=2, exhaustive_limit=1,
+                          sample_size=50, seed=4)
+        report = check_identity_suite("unique-form", ab, spec)
+        assert report.ok and report.cases == 50 and report.seed == 4
+        assert "sample of 50 halves (seed 4)" in report.universe
+        again = check_identity_suite("unique-form", ab, spec)
+        assert report.universe == again.universe
+
+    @pytest.mark.parametrize("which", ["unique-form", "transversal"])
+    def test_one_letter_runs_sample_without_hanging(self, which):
+        # One basis word, so only the run of length 1 exists: every draw is it.
+        spec = SampleSpec(max_len=3, max_seq=3, exhaustive_limit=0,
+                          sample_size=20, seed=1)
+        report = check_identity_suite(which, Alphabet("a"), spec)
+        assert report.ok and report.cases == 20 and report.seed == 1
+
+    @pytest.mark.parametrize("limit", [200_000, 1])
+    def test_unique_form_reports_a_wrong_canonical_form(self, ab, monkeypatch, limit):
+        # A planted form whose half is reversed: every half of two or more
+        # distinct entries is then not the canonical form of its value.
+        real = verify.symmetric_form
+        monkeypatch.setattr(
+            verify, "symmetric_form", lambda v: SimpleNamespace(half=real(v).half[::-1])
+        )
+        spec = SampleSpec(max_len=3, max_seq=2, exhaustive_limit=limit,
+                          sample_size=50, seed=4)
+        report = check_identity_suite("unique-form", ab, spec)
+        assert not report.ok
+        assert all("but is not its canonical form" in f for f in report.failures)
+        if limit == 1:
+            assert report.seed == 4
+        else:
+            assert len(report.failures) == 6  # the 3*2 two-entry halves
 
     def test_unknown_suite_is_an_error(self, ab):
         with pytest.raises(ValueError):
