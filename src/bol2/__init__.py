@@ -34,15 +34,7 @@ from .normalize import (
     normal_form_chain,
     reduce_product,
 )
-from .verify import (
-    CheckReport,
-    GroupWord,
-    SampleSpec,
-    act,
-    check_identity_suite,
-    group_mul,
-    s_word,
-)
+from .verify import CheckReport, SampleSpec, check_identity_suite
 from .words import (
     IDENTITY,
     Alphabet,

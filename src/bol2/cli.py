@@ -2,16 +2,17 @@
 
 Every command parses its operands, calls the library and prints the result
 as text or JSON.  ``--budget MS`` arms one POSIX interval timer, whose
-``SIGALRM`` handler raises :class:`BudgetExceeded` wherever the command is.
-The timer is stopped before anything is printed, and the previous handler
-is back before :func:`main` returns; the library takes no time limit.  An
-interrupt may land between any two bytecodes, so each memo store writes a
-finished value in one assignment: the ``Letter`` and ``Product`` intern
-tables, ``SHARED_CACHE.basis`` and ``.forms``, and ``basis._reduced_words``.
-So an interrupted command leaves no wrong entry, and a length level
-interrupted while it is built is never stored.  The console script enters
-through :func:`run`, which flushes the output and ends the process without
-freeing the intern table.
+``SIGALRM`` handler raises :class:`BudgetExceeded` wherever the command is,
+except inside a ``gc`` callback, where Python would discard the exception:
+there it fires again 1 ms later.  The timer is stopped before anything is
+printed, and the previous handler is back before :func:`main` returns; the
+library takes no time limit.  An interrupt may land between any two
+bytecodes, so each memo store writes a finished value in one assignment: the
+``Letter`` and ``Product`` intern tables, ``SHARED_CACHE.basis`` and
+``.forms``, and ``basis._reduced_words``.  So an interrupted command leaves
+no wrong entry, and a length level interrupted while it is built is never
+stored.  The console script enters through :func:`run`, which flushes the
+output and ends the process without freeing the intern table.
 
 Exit codes: 0 success (checks passed), 1 a check reported failures,
 2 malformed input or usage, 3 an operand is not a loop element (with a
@@ -23,11 +24,13 @@ internal invariant failed (a bug in this package).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import signal
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict, fields
 from functools import partial
 from typing import Sequence
 
@@ -61,6 +64,13 @@ class BudgetExceeded(RuntimeError):
 
 
 def _on_alarm(signum, frame):
+    # An exception raised in a gc callback is discarded: fire again after it.
+    callbacks = {getattr(cb, "__code__", None) for cb in gc.callbacks}
+    while frame is not None:
+        if frame.f_code in callbacks:
+            signal.setitimer(signal.ITIMER_REAL, 0.001)
+            return
+        frame = frame.f_back
     raise BudgetExceeded("wall-clock budget exhausted")
 
 
@@ -241,13 +251,7 @@ def _print_report(ns, report: CheckReport) -> None:
 
 def _cmd_check(ns) -> int:
     alphabet = _alphabet(ns)
-    spec = SampleSpec(
-        max_len=ns.max_len,
-        max_seq=ns.max_seq,
-        exhaustive_limit=ns.exhaustive_limit,
-        sample_size=ns.sample,
-        seed=ns.seed,
-    )
+    spec = SampleSpec(**{f.name: getattr(ns, f.name) for f in fields(SampleSpec)})
     report = check_identity_suite(ns.suite, alphabet, spec)
     _print_report(ns, report)
     return 0 if report.ok else 1
@@ -361,26 +365,29 @@ def build_parser() -> argparse.ArgumentParser:
         "check", parents=[common], help="run an identity or structure suite"
     )
     p.add_argument("suite", choices=SUITES)
-    p.add_argument(
-        "--max-len", type=_at_least(1), default=3, help="word length bound"
-    )
+    p.add_argument("--max-len", type=_at_least(1), help="word length bound")
     p.add_argument(
         "--max-seq",
         type=_at_least(1),
-        default=3,
         help="generator-sequence bound (group words, palindrome halves)",
     )
-    p.add_argument("--sample", type=_at_least(1), default=2000, help="sample size")
+    p.add_argument(
+        "--sample",
+        dest="sample_size",
+        metavar="SAMPLE",
+        type=_at_least(1),
+        help="sample size",
+    )
     p.add_argument(
         "--exhaustive-limit",
         type=_at_least(0),
-        default=200_000,
         help="largest tuple universe scanned exhaustively",
     )
     p.add_argument(
-        "--seed", type=int, default=0, help="seed for sampled checks (default: 0)"
+        "--seed", type=int, help="seed for sampled checks (default: %(default)s)"
     )
-    p.set_defaults(handler=_cmd_check)
+    # SampleSpec owns the defaults; _cmd_check reads back one value per field.
+    p.set_defaults(handler=_cmd_check, **asdict(SampleSpec()))
 
     return parser
 

@@ -1,13 +1,13 @@
 """Identity suites and the group-action verification harness.
 
-The construction has a group-side mirror: take the free product of order-two
+The construction has a group-side mirror: the free product of order-two
 generators, one per basis word, acting on the carrier by right loop
-multiplication.  A *group word* is a reduced sequence of such generators
-(adjacent entries distinct).  A basis word's palindromic form is the word
-itself, so a group word acts by one :func:`~bol2.normalize.normal_form_chain`
-fold of its generators, the fold behind :func:`~bol2.loop.mul`.  Words that
-move the identity word to ``v != 1`` can be pushed back into the stabilizer
-by the palindromic word of ``v``.
+multiplication.  A *group word* there is a plain tuple of basis words with
+adjacent entries distinct; :func:`~bol2.loop.free_reduce` multiplies two.
+A basis word is its own palindromic form, so a group word acts by one
+:func:`~bol2.normalize.normal_form_chain` fold, the fold behind
+:func:`~bol2.loop.mul`.  A group word moving the identity word to ``v != 1``
+returns to the stabilizer after ``symmetric_form(v).sequence``.
 
 :func:`check_identity_suite` is the one check runner; :data:`SUITES` names
 what it checks:
@@ -20,8 +20,8 @@ nuclei       no non-identity element associates in the middle with all
              pairs
 unique-form  distinct bounded palindromic forms denote distinct elements,
              and each is the canonical form of its value
-transversal  every group word that moves the identity returns to its
-             stabilizer after the palindromic word of its image
+transversal  every run of basis words that moves the identity returns to
+             its stabilizer after the palindromic word of its image
 ===========  ==========================================================
 
 Universes are exhaustive when small enough, otherwise a seeded sample; every
@@ -39,63 +39,17 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 
-from .basis import enumerate_basis, enumerate_loop_words, in_basis
+from .basis import enumerate_basis, enumerate_loop_words
 from .loop import free_reduce, mul, symmetric_form
 from .normalize import normal_form_chain
 from .words import IDENTITY, Alphabet, Word, render
 
 __all__ = [
-    "GroupWord",
-    "group_mul",
-    "act",
-    "s_word",
     "SampleSpec",
     "CheckReport",
     "SUITES",
     "check_identity_suite",
 ]
-
-
-@dataclass(frozen=True)
-class GroupWord:
-    """Reduced word in the free product of involutions: a tuple of basis
-    words with adjacent entries distinct.  The empty tuple is the group
-    identity."""
-
-    gens: tuple[Word, ...] = ()
-
-    def __post_init__(self) -> None:
-        for a, b in zip(self.gens, self.gens[1:]):
-            if a is b:
-                raise ValueError(f"adjacent equal generators: {a!r}")
-        for g in self.gens:
-            if not in_basis(g):
-                raise ValueError(f"generator is not a basis member: {g!r}")
-
-
-def group_mul(u: GroupWord, v: GroupWord) -> GroupWord:
-    """Concatenate and cancel equal generators meeting at the seam."""
-    return GroupWord(free_reduce(u.gens, v.gens))
-
-
-def act(start: Word, gw: GroupWord) -> Word:
-    """Fold right loop multiplications by the generators into ``start``.
-
-    A generator is a basis word, whose palindromic form is the word itself,
-    so the action is one fold of the generators into ``start``."""
-    return normal_form_chain(start, gw.gens)
-
-
-def s_word(gw: GroupWord) -> GroupWord:
-    """The palindromic group word acting like the image ``act(1, gw)``.
-
-    Multiplying ``gw`` by it lands in the stabilizer of the identity word.
-    Raises ``ValueError`` when ``gw`` stabilizes the identity already.
-    """
-    v = act(IDENTITY, gw)
-    if v.size == 0:
-        raise ValueError("group word already stabilizes the identity")
-    return GroupWord(symmetric_form(v).sequence)
 
 
 @dataclass(frozen=True)
@@ -289,21 +243,20 @@ def _unique_form_suite(which, alphabet, spec) -> CheckReport:
 
 
 def _transversal_suite(which, alphabet, spec) -> CheckReport:
-    """Every group word ``g`` moving the identity to ``v != 1`` must return to
-    the stabilizer after the palindromic word of ``v``:
-    ``act(1, g * s_word(g)) = 1``."""
+    """Every run ``g`` of generators moving the identity to ``v != 1`` must
+    return to the stabilizer after the palindromic sequence ``s`` of ``v``:
+    the fold of ``free_reduce(g, s)`` into ``1`` is ``1``."""
     what = f"group words of <= {spec.max_seq} generators"
     runs, report = _runs(which, alphabet, spec, what, "words")
     for run in runs:
         report.cases += 1
-        gw = GroupWord(run)
-        v = act(IDENTITY, gw)
+        v = normal_form_chain(IDENTITY, run)
         if v.size == 0:
             continue  # already in the stabilizer; nothing to decompose
-        sw = s_word(gw)
-        if act(IDENTITY, sw) is not v:
+        seq = symmetric_form(v).sequence
+        if normal_form_chain(IDENTITY, seq) is not v:
             failure = "palindromic word of {} denotes the wrong element"
-        elif act(IDENTITY, group_mul(gw, sw)).size != 0:
+        elif normal_form_chain(IDENTITY, free_reduce(run, seq)).size != 0:
             failure = "{} * its palindromic word does not stabilize the identity"
         else:
             continue

@@ -1,16 +1,31 @@
 """Command-line front end: golden outputs, formats, exit codes."""
 
 import argparse
+import contextlib
+import gc
 import io
 import json
 import signal
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bol2 import InternalInvariantError, Product, cli, left_assoc, parse, render
+from bol2 import (
+    InternalInvariantError,
+    Product,
+    SampleSpec,
+    cli,
+    enumerate_loop_words,
+    left_assoc,
+    parse,
+    render,
+    verify,
+)
 from bol2.cli import build_parser, main
 from bol2.verify import SUITES
 
@@ -218,6 +233,11 @@ class TestCheck:
         assert "cases: 2000" in lines and "seed: 0" in lines
         assert lines[-1] == "verdict: pass"
 
+    def test_defaults_are_those_of_sample_spec(self):
+        ns = build_parser().parse_args(["check", "bol"])
+        defaults = asdict(SampleSpec())
+        assert {name: getattr(ns, name) for name in defaults} == defaults
+
 
 class TestExitCodes:
     @pytest.mark.parametrize(
@@ -403,6 +423,47 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert without_elapsed(out) == without_elapsed(fresh.stdout)
 
+    def test_alarm_in_a_gc_callback_still_ends_the_command(self, capsys, monkeypatch):
+        # Python discards an exception raised in a gc callback.  The first
+        # product runs a collection whose callback spins while the timer is
+        # pending (at most 0.2 s), then a few loops more: the timer expires
+        # before its handler runs, at the next backward jump, still in here.
+        enumerate_loop_words(AB, 5)  # warm: the first product comes at once
+
+        def spin(phase, info):
+            end = time.perf_counter() + 0.2
+            while signal.getitimer(signal.ITIMER_REAL)[0] and time.perf_counter() < end:
+                pass
+            for _ in range(100):
+                pass
+
+        real_mul = verify.mul
+        collected = []
+
+        def mul(x, y):
+            if not collected:
+                collected.append(True)
+                gc.callbacks.append(spin)
+                try:
+                    gc.collect()
+                finally:
+                    gc.callbacks.remove(spin)
+            return real_mul(x, y)
+
+        def previous(signum, frame):
+            pass
+
+        monkeypatch.setattr(verify, "mul", mul)
+        saved = signal.signal(signal.SIGALRM, previous)
+        try:
+            argv = ["check", "bol", "--max-len", "5", "--budget", "10"]
+            assert run(capsys, *argv) == (4, "", EXHAUSTED)
+            assert collected == [True]
+            assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+            assert signal.getsignal(signal.SIGALRM) is previous
+        finally:
+            signal.signal(signal.SIGALRM, saved)
+
     def test_budget_without_setitimer_is_2(self, capsys, monkeypatch):
         monkeypatch.delattr(signal, "setitimer")
         code, out, err = run(capsys, "mul", "a", "b", "--budget", "100")
@@ -500,3 +561,61 @@ def test_console_entry_flushes_both_streams_before_exiting(monkeypatch):
     cli.run()
     assert (out.getvalue(), err.getvalue()) == ("ab\n", "")
     assert events == [("flush", "stdout"), ("flush", "stderr"), ("exit", 0)]
+
+
+# A small grammar of argv: every command with too few, enough or too many
+# operands, words that are loop elements, malformed or over unknown letters,
+# its own flags or another command's, numbers that are valid, out of range or
+# not numbers, and alphabets that are not alphabets.
+OPERANDS = {"normalize": 1, "compare": 2, "transpose": 1, "mul": 2, "canon": 1,
+            "ldiv": 2, "rdiv": 2, "enum": 0, "check": 0}
+KINDS = {"check": (*SUITES, "ring"), "enum": ("W", "D", "R", "B", "Q")}
+FLAGS = {"check": ["--max-len", "--max-seq", "--sample", "--exhaustive-limit",
+                   "--seed"],
+         "enum": ["--max-len"], "ldiv": ["--bound"]}
+WORDS = st.one_of(
+    st.sampled_from(["a", "b", "1", "ab", "ba", "b(ba)", "(b(ba))a", "a(ab)",
+                     "b((ba)b)", "(ab)a"]),
+    st.text("ab()1xc", max_size=6),
+)
+NUMBERS = st.sampled_from(["1", "2", "3"] * 2 + ["-1", "0", "nan", "x"])
+ALPHABETS = ["ab", "a", "aa", "a(", ""]
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [command]
+    if command in KINDS:
+        argv.append(draw(st.sampled_from(KINDS[command])))
+    n = OPERANDS[command]
+    n = draw(st.sampled_from([n] * 4 + [abs(n - 1), n + 1]))
+    argv += draw(st.lists(WORDS, min_size=n, max_size=n))
+    flags = FLAGS.get(command, [])
+    if not draw(st.integers(0, 3)):  # now and then, any command's flags
+        flags = sum(FLAGS.values(), [])
+    if flags:
+        for flag in draw(st.lists(st.sampled_from(flags), max_size=3, unique=True)):
+            argv += [flag, draw(NUMBERS)]
+    if draw(st.booleans()):
+        argv += ["--alphabet", draw(st.sampled_from(ALPHABETS))]
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    return argv + ["--budget", "500"]
+
+
+@settings(max_examples=300)
+@given(argv=argvs())
+def test_random_argv_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in range(7) and "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    elif code == 1:  # a check found failures: its report, no error
+        assert argv[0] == "check" and err == ""
+    else:
+        assert out == ""
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1

@@ -1,4 +1,8 @@
-"""Group words over the basis, the loop action, and the check harness."""
+"""Group words over the basis, the loop action, and the check harness.
+
+A group word is a plain tuple of basis words with adjacent entries distinct:
+``free_reduce`` multiplies two of them and ``normal_form_chain`` folds one
+into a start word, which is its action on the carrier."""
 
 from types import SimpleNamespace
 
@@ -8,75 +12,62 @@ from bol2 import (
     IDENTITY,
     Alphabet,
     CheckReport,
-    GroupWord,
     SampleSpec,
-    act,
     check_identity_suite,
     enumerate_basis,
     enumerate_loop_words,
-    group_mul,
     mul,
+    normal_form_chain,
     parse,
-    s_word,
     symmetric_form,
 )
 from bol2 import verify
+from bol2.loop import free_reduce
 from bol2.verify import SUITES
 
 from helpers import distinct_runs
 
 
 def gw(ab, *texts):
-    return GroupWord(tuple(parse(t, ab) for t in texts))
+    return tuple(parse(t, ab) for t in texts)
 
 
 class TestGroupWord:
-    def test_validation(self, ab):
-        a = parse("a", ab)
-        with pytest.raises(ValueError):
-            GroupWord((a, a))
-        with pytest.raises(ValueError):
-            GroupWord((parse("ab", ab),))  # not a basis member
-
     def test_mul_cancels_at_the_seam(self, ab):
         u = gw(ab, "a", "b", "ba")
         v = gw(ab, "ba", "b", "a")
-        assert group_mul(u, v).gens == ()
+        assert free_reduce(u, v) == ()
         # v reversed starts with a, so nothing cancels at the seam
-        reverse = GroupWord(v.gens[::-1])
-        assert group_mul(u, reverse) == gw(ab, "a", "b", "ba", "a", "b", "ba")
+        assert free_reduce(u, v[::-1]) == gw(ab, "a", "b", "ba", "a", "b", "ba")
 
     def test_group_axioms_on_small_words(self, ab):
-        pool = [GroupWord(t) for n in range(0, 3)
+        pool = [t for n in range(0, 3)
                 for t in distinct_runs(enumerate_basis(ab, 3), n)]
-        e = GroupWord()
         for u in pool:
-            assert group_mul(u, GroupWord(u.gens[::-1])) == e
-            assert group_mul(e, u) == u and group_mul(u, e) == u
+            assert free_reduce(u, u[::-1]) == ()
+            assert free_reduce((), u) == u and free_reduce(u, ()) == u
             for v in pool:
                 for w in pool:
-                    assert group_mul(group_mul(u, v), w) == group_mul(u, group_mul(v, w))
+                    assert free_reduce(free_reduce(u, v), w) == free_reduce(
+                        u, free_reduce(v, w)
+                    )
 
     def test_inverse_reverses(self, ab):
-        u = gw(ab, "a", "ba", "b")
         # Generators are involutions, so the inverse is the reversed word.
-        inverse = GroupWord(u.gens[::-1])
-        assert inverse.gens == tuple(reversed(u.gens))
-        assert group_mul(u, inverse) == GroupWord()
-        assert len(u.gens) == 3
+        u = gw(ab, "a", "ba", "b")
+        assert free_reduce(u, u[::-1]) == ()
+        assert free_reduce(u[::-1], u) == ()
 
     def test_seam_cancellation_eats_through(self, ab):
         # (a b) * (b a b): the seam cancels b,b then a,a, leaving (b,)
-        u = gw(ab, "a", "b")
-        v = gw(ab, "b", "a", "b")
-        assert group_mul(u, v) == gw(ab, "b")
+        assert free_reduce(gw(ab, "a", "b"), gw(ab, "b", "a", "b")) == gw(ab, "b")
 
 
 class TestAction:
     def test_act_folds_left_to_right(self, ab):
         w = gw(ab, "a", "b")
-        assert act(IDENTITY, w) is mul(mul(IDENTITY, parse("a", ab)), parse("b", ab))
-        assert act(IDENTITY, GroupWord()) is IDENTITY
+        assert normal_form_chain(IDENTITY, w) is mul(mul(IDENTITY, w[0]), w[1])
+        assert normal_form_chain(IDENTITY, ()) is IDENTITY
 
     def test_act_composes_with_group_mul_on_stabilizer_free_paths(self, ab):
         # action is by right multiplications, so acting by u then v is acting
@@ -84,10 +75,12 @@ class TestAction:
         # generator acts as an involution.
         u = gw(ab, "a", "ba")
         v = gw(ab, "ba", "b")
-        assert act(act(IDENTITY, u), v) is act(IDENTITY, group_mul(u, v))
+        assert normal_form_chain(normal_form_chain(IDENTITY, u), v) is (
+            normal_form_chain(IDENTITY, free_reduce(u, v))
+        )
 
     def test_act_matches_the_mul_fold(self, ab, abc):
-        # act folds the generators directly; mul goes through each
+        # The fold takes the generators directly; mul goes through each
         # generator's palindromic form, which is the generator itself.
         for alphabet, max_len in [(ab, 5), (abc, 4)]:
             basis_words = enumerate_basis(alphabet, max_len)
@@ -99,22 +92,21 @@ class TestAction:
                 for gens in distinct_runs(basis_words, n):
                     expected = [mul(x, gens[-1]) for x in folded[gens[:-1]]]
                     folded[gens] = expected
-                    u = GroupWord(gens)
-                    assert [act(x, u) for x in starts] == expected
-    def test_s_word_is_the_palindrome_of_the_image(self, ab):
-        u = gw(ab, "a", "b")
-        image = act(IDENTITY, u)
-        assert s_word(u).gens == symmetric_form(image).sequence
+                    assert [normal_form_chain(x, gens) for x in starts] == expected
 
-    def test_s_word_rejects_stabilizing_words(self, ab):
-        u = gw(ab, "a")
-        stab = group_mul(u, GroupWord(u.gens[::-1]))
-        with pytest.raises(ValueError):
-            s_word(stab)
+    def test_s_word_is_the_palindrome_of_the_image(self, ab):
+        # The palindromic word of the image denotes the image, and the group
+        # word times it stabilizes the identity.
+        u = gw(ab, "a", "b")
+        image = normal_form_chain(IDENTITY, u)
+        seq = symmetric_form(image).sequence
+        assert seq == seq[::-1] and len(seq) % 2 == 1
+        assert normal_form_chain(IDENTITY, seq) is image
+        assert normal_form_chain(IDENTITY, free_reduce(u, seq)) is IDENTITY
 
     def test_action_is_transitive_onto_small_carrier(self, ab):
         # every carrier element of length <= 3 is hit by some short group word
-        hits = {act(IDENTITY, GroupWord(t))
+        hits = {normal_form_chain(IDENTITY, t)
                 for n in range(0, 4)
                 for t in distinct_runs(enumerate_basis(ab, 3), n)}
         assert set(enumerate_loop_words(ab, 3)) <= hits
@@ -230,7 +222,9 @@ class TestTransversal:
         # Break each step in turn: every one of the 9 group words then fails,
         # labelled by its generators.
         spec = SampleSpec(max_len=3, max_seq=2)
-        monkeypatch.setattr(verify, "s_word", lambda g: GroupWord())
+        monkeypatch.setattr(
+            verify, "symmetric_form", lambda v: SimpleNamespace(sequence=())
+        )
         report = check_identity_suite("transversal", ab, spec)
         assert report.failures[:4] == [
             f"palindromic word of {label} denotes the wrong element"
@@ -238,7 +232,7 @@ class TestTransversal:
         ]
         assert len(report.failures) == report.cases == 9
         monkeypatch.undo()
-        monkeypatch.setattr(verify, "group_mul", lambda u, v: u)
+        monkeypatch.setattr(verify, "free_reduce", lambda u, v: u)
         report = check_identity_suite("transversal", ab, spec)
         assert report.failures[8] == (
             "ba*b * its palindromic word does not stabilize the identity"
