@@ -20,7 +20,10 @@ table, and only the words that pass those reads are memoized for basis
 membership.  Membership does not depend on the alphabet — only letter ranks
 matter — so that table, and the canonical-form table of :mod:`.loop`, live
 in one process-wide owner, :data:`SHARED_CACHE`.  This module also owns the
-cache of complete length levels of reduced words.  No function here takes a
+cache of complete length levels of reduced words.  The carrier is listed by
+filtering those levels; the basis is listed from the carrier, as the letters
+plus the members among its elements' one-letter extensions ``(c l)``, since
+every longer basis word has that shape.  No function here takes a
 time limit: the command line's ``--budget`` interrupts whatever is running
 (see :mod:`.cli`), and every table here stores only finished values.
 """
@@ -193,8 +196,29 @@ def enumerate_candidates(alphabet: Alphabet, max_len: int) -> list[Word]:
 
 
 def enumerate_basis(alphabet: Alphabet, max_len: int) -> list[Word]:
-    """Basis members of length at most ``max_len``, sorted by the word order."""
-    return enumerate_filtered(alphabet, max_len, in_basis)
+    """Basis members of length at most ``max_len``, sorted by the word order.
+
+    A basis word longer than one letter is ``(c l)``: its last spine factor
+    is a letter ``l``, and the product ``c`` of the others is a carrier
+    element.  So the basis is the letters plus the members among the
+    one-letter extensions of the carrier elements of length below
+    ``max_len``, and the reduced words of length ``max_len`` are never
+    listed.
+    """
+    if max_len < 1:
+        return []
+    letters = alphabet.letters
+    out = list(letters)
+    for c in enumerate_loop_words(alphabet, max_len - 1)[1:]:
+        # ``(c l)`` is reduced unless ``l`` is ``c`` or ``c``'s right child.
+        last = c.right if c.size > 1 else c
+        for letter in letters:
+            if letter is not last:
+                w = Product(c, letter)
+                if in_basis(w):
+                    out.append(w)
+    out.sort(key=word_key)
+    return out
 
 
 def enumerate_loop_words(alphabet: Alphabet, max_len: int) -> list[Word]:

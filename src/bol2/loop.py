@@ -30,11 +30,17 @@ The canonical form is found by steering a word toward its transposes:
 * else the common transpose is an odd palindromic product of basis words,
   and its unique such factorization is the core.
 
-Neither transpose is built as a word.  Each is a rearrangement of the
-element's spine, folded through :func:`~bol2.normalize.normal_form_chain`:
-the fold gives the transpose itself when it keeps the element's size, and
-the transpose's normal form when it shrinks, which is all the steps above
-use.  So no non-reduced transpose enters the intern table.
+Neither transpose is built as a word, and each is folded once.  Each is a
+rearrangement of the element's spine, folded through
+:func:`~bol2.normalize.normal_form_chain`: the fold gives the transpose
+itself when it keeps the element's size, and the transpose's normal form
+when it shrinks, which is all the steps above use.  So no non-reduced
+transpose enters the intern table.  When the last spine factor is a letter,
+the double transpose is ``g`` itself and is not folded: the one fold of the
+transpose decides both whether ``g`` is a basis member (it precedes its
+transpose) and the core.  Otherwise both transposes end in a letter, and the
+one of them that precedes the other is the basis member.  A shrunk
+transpose is checked to be a carrier element once, by the recursive call.
 
 Wrapping may create equal adjacent entries where wrap meets core; those
 cancel in pairs (the palindrome squares them away), which can also merge the
@@ -46,12 +52,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .basis import SHARED_CACHE, enumerate_loop_words, in_basis, in_loop
+from .basis import SHARED_CACHE, enumerate_loop_words, in_basis
 from .normalize import InternalInvariantError, normal_form_chain
 from .words import (
     IDENTITY,
     Alphabet,
     Word,
+    compare,
     palindromic_split,
     spine_factors,
 )
@@ -133,43 +140,11 @@ def symmetric_form(element: Word) -> PalindromicForm:
     factors = spine_factors(element)
     if not (element.reduced and all(in_basis(f) for f in factors)):
         raise ValueError(f"not a carrier element: {element!r}")
-
-    if in_basis(element):
-        form = PalindromicForm((element,))
-    else:
-        # Each transpose is folded, not built: ``t`` is the transpose when it
-        # kept the element's size, and otherwise the transpose's normal form.
-        wrap = factors[::-1]
-        t = normal_form_chain(IDENTITY, wrap)
-        if t.size < element.size:
-            core = symmetric_form(_shrunk(t, element)).half
-        else:
-            # The double transpose is the fine factorization: the spine with
-            # its last factor unfolded into its own reversed spine.
-            unfolded = spine_factors(factors[-1])[::-1]
-            tt = normal_form_chain(IDENTITY, factors[:-1] + unfolded)
-            # (as, bl, ..., b1): multiplying this prefix into the double
-            # transpose consumes its leading run b1 ... bl one step at a
-            # time, then re-attaches as.
-            unfold_wrap = (factors[-1],) + unfolded
-            if tt.size < element.size:
-                wrap = unfold_wrap
-                core = symmetric_form(_shrunk(tt, element)).half
-            elif t is not tt:
-                if in_basis(t):
-                    core = (t,)
-                elif in_basis(tt):
-                    wrap = unfold_wrap
-                    core = (tt,)
-                else:
-                    raise InternalInvariantError(
-                        f"neither transpose of {element!r} is a basis member"
-                    )
-            else:
-                # The common transpose is symmetric: extract its palindrome.
-                core = _palindromic_half(t)
+    wrap, core = _wrap_and_core(element, factors)
+    try:
         form = PalindromicForm(_cancel_junction(wrap, core))
-
+    except ValueError as exc:  # the element is valid, so the steps are wrong
+        raise InternalInvariantError(f"no form for {element!r}: {exc}") from None
     if normal_form_chain(IDENTITY, form.sequence) is not element:
         raise InternalInvariantError(
             f"form {form.half!r} does not denote {element!r}"
@@ -178,14 +153,58 @@ def symmetric_form(element: Word) -> PalindromicForm:
     return form
 
 
-def _shrunk(reduced: Word, element: Word) -> Word:
-    # The folded normal form of a non-reduced transpose: strictly shorter,
-    # still in the carrier and non-identity, so the recursion terminates.
-    if reduced.size == 0 or reduced.size >= element.size or not in_loop(reduced):
+def _wrap_and_core(
+    element: Word, factors: tuple[Word, ...]
+) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
+    # The steps of the module docstring for a carrier element with spine
+    # ``factors``.  Each transpose is folded once, not built: ``t`` is the
+    # transpose when it kept the element's size, and otherwise the
+    # transpose's normal form.
+    last = factors[-1]
+    wrap = factors[::-1]
+    t = normal_form_chain(IDENTITY, wrap)
+    if t.size < element.size:
+        return wrap, _shrunk_half(t, element)
+    if last.size == 1:
+        # The double transpose is the element itself, so ``t`` decides both
+        # membership and the form.  The spine factors are basis members, so
+        # the element is one exactly when it is a letter or precedes its
+        # transpose (the test of :func:`~bol2.basis.is_candidate`).
+        if element.size == 1 or compare(element, t) < 0:
+            return (), (element,)
+        if t is element:
+            return wrap, _palindromic_half(t)
+        return wrap, (t,)
+    # The double transpose is the fine factorization: the spine with its
+    # last factor unfolded into its own reversed spine.
+    unfolded = spine_factors(last)[::-1]
+    tt = normal_form_chain(IDENTITY, factors[:-1] + unfolded)
+    # (as, bl, ..., b1): multiplying this prefix into the double transpose
+    # consumes its leading run b1 ... bl one step at a time, then re-attaches
+    # as.
+    unfold_wrap = (last,) + unfolded
+    if tt.size < element.size:
+        return unfold_wrap, _shrunk_half(tt, element)
+    if t is tt:
+        # The common transpose is symmetric: extract its palindrome.
+        return wrap, _palindromic_half(t)
+    # Each transpose ends in a letter and is the other's transpose, so the
+    # one that precedes the other is the basis member.
+    if compare(t, tt) < 0:
+        return wrap, (t,)
+    return unfold_wrap, (tt,)
+
+
+def _shrunk_half(reduced: Word, element: Word) -> tuple[Word, ...]:
+    # The folded normal form of a non-reduced transpose: strictly shorter, so
+    # the recursion terminates, and a non-identity carrier element, which
+    # the recursive call checks.
+    try:
+        return symmetric_form(reduced).half
+    except ValueError:
         raise InternalInvariantError(
             f"transpose of {element!r} reduced to unusable {reduced!r}"
-        )
-    return reduced
+        ) from None
 
 
 def mul(x: Word, y: Word) -> Word:

@@ -14,6 +14,10 @@ Reducedness is a field of the word (:attr:`Word.reduced`), set from the two
 children when a product is built, so testing it costs constant time and
 normalizing a word descends only into its non-reduced subtrees (with an
 explicit stack, not recursion).  Nothing here keeps a table of its own.
+
+The fold :func:`normal_form_chain` multiplies a run of words into a head.
+It takes its operands already reduced, with no identity factor, and checks
+that contract instead of normalizing: only :func:`normal_form` normalizes.
 """
 
 from __future__ import annotations
@@ -87,33 +91,42 @@ def normal_form(word: Word) -> Word:
 def normal_form_chain(head: Word, factors: Iterable[Word]) -> Word:
     """Normal form of the left-associated product ``head f1 f2 ... fn``.
 
-    A non-reduced argument is normalized first, so the fold only ever
-    multiplies reduced words.  Each step is :func:`reduce_product` written
-    out in one loop: the two collapses, then one read of the intern table,
-    and on a miss the product is built without a second read.
+    The head must be reduced and every factor reduced and not the identity
+    word; each caller passes such words (spine factors, form sequences, runs
+    of basis words), so the fold normalizes nothing.  Each step is
+    :func:`reduce_product` written out in one loop: the two collapses, then
+    one read of the intern table, and on a miss the product is built without
+    a second read.  A head or factor outside this contract raises
+    :class:`InternalInvariantError` before a word with an identity or a
+    non-reduced child is built, and every product read from the intern table
+    is checked to be reduced.
 
     The fold never builds a non-reduced word, so it can test a
-    rearrangement of factors without interning a throwaway one: when the
-    factors are reduced, the result has their total size exactly when no
-    collapse happened, and is then their left-associated product itself;
-    otherwise it is that product's (strictly shorter) normal form.
+    rearrangement of factors without interning a throwaway one: the result
+    has the factors' total size exactly when no collapse happened, and is
+    then their left-associated product itself; otherwise it is that
+    product's (strictly shorter) normal form.
     """
-    acc = normal_form(head)
+    if not head.reduced:
+        raise InternalInvariantError(f"fold from a non-reduced head: {head!r}")
+    acc = head
     interned = Product._interned
     for f in factors:
-        if not f.reduced:
-            f = normal_form(f)
-        if f is IDENTITY:
-            continue
         if acc is f:
             acc = IDENTITY
         elif acc is IDENTITY:
+            if not f.reduced:
+                raise InternalInvariantError(f"factor outside the fold: {f!r}")
             acc = f
         elif acc.size > 1 and acc.right is f:  # size > 1: ``acc`` is a product
             acc = acc.left
         else:
             w = interned.get((acc, f))
             if w is None:
+                # ``acc`` is reduced and neither collapse applies, so the
+                # product is reduced exactly when ``f`` is.
+                if f.size == 0 or not f.reduced:
+                    raise InternalInvariantError(f"factor outside the fold: {f!r}")
                 w = new_product(acc, f)
             if not w.reduced:
                 raise InternalInvariantError(

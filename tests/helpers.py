@@ -262,6 +262,122 @@ def palindrome_index(
 
 
 # ---------------------------------------------------------------------------
+# a finite Bol loop of exponent two: an oracle for ``mul`` that never calls it
+
+
+BOL8 = (
+    (0, 1, 2, 3, 4, 5, 6, 7),
+    (1, 0, 3, 2, 5, 4, 7, 6),
+    (2, 3, 0, 1, 6, 7, 5, 4),
+    (3, 2, 1, 0, 7, 6, 4, 5),
+    (4, 5, 6, 7, 0, 1, 3, 2),
+    (5, 4, 7, 6, 1, 0, 2, 3),
+    (6, 7, 4, 5, 2, 3, 0, 1),
+    (7, 6, 5, 4, 3, 2, 1, 0),
+)
+"""Cayley table of a right Bol loop of exponent two and order 8 that is not
+a group: ``BOL8[x][y]`` is ``x * y`` and ``0`` is the identity.  It is the
+first table :func:`bol_loop_search` meets at order 8, and two of its
+elements generate it."""
+
+
+def is_bol_loop_of_exponent_two(table) -> bool:
+    """A loop with identity ``0`` (every row and column a permutation) in
+    which ``x x = 1`` and ``((x y) z) y = x ((y z) y)`` for all elements."""
+    n = len(table)
+    elements = range(n)
+    return (
+        all(table[0][x] == table[x][0] == x for x in elements)
+        and all(sorted(row) == list(elements) for row in table)
+        and all(sorted(row[y] for row in table) == list(elements) for y in elements)
+        and all(table[x][x] == 0 for x in elements)
+        and all(
+            table[table[table[x][y]][z]][y] == table[x][table[table[y][z]][y]]
+            for x, y, z in itertools.product(elements, repeat=3)
+        )
+    )
+
+
+def is_associative(table) -> bool:
+    elements = range(len(table))
+    return all(
+        table[table[x][y]][z] == table[x][table[y][z]]
+        for x, y, z in itertools.product(elements, repeat=3)
+    )
+
+
+def bol_loop_search(order: int):
+    """The first Cayley table, in a fixed backtracking order, of a right Bol
+    loop of exponent two on ``0 .. order-1`` that is not associative, as a
+    tuple of rows; ``None`` when there is none.
+
+    In such a loop ``(x y) y = x``, so each column ``y`` pairs its rows off:
+    setting ``x y = z`` also sets ``z y = x``.  A partial table is pruned as
+    soon as a fully filled-in instance of the Bol law fails.
+    """
+    elements = range(order)
+    table: list[list[int | None]] = [[None] * order for _ in elements]
+    for x in elements:
+        table[0][x] = table[x][0] = x
+        table[x][x] = 0
+    cells = [(x, y) for y in elements[1:] for x in elements[1:] if x != y]
+
+    def bol_holds_where_filled() -> bool:
+        for x, y, z in itertools.product(elements, repeat=3):
+            left = right = None
+            xy = table[x][y]
+            if xy is not None and table[xy][z] is not None:
+                left = table[table[xy][z]][y]
+            yz = table[y][z]
+            if yz is not None and table[yz][y] is not None:
+                right = table[x][table[yz][y]]
+            if left is not None and right is not None and left != right:
+                return False
+        return True
+
+    def fill(i: int) -> bool:
+        while i < len(cells) and table[cells[i][0]][cells[i][1]] is not None:
+            i += 1
+        if i == len(cells):
+            return is_bol_loop_of_exponent_two(table) and not is_associative(table)
+        x, y = cells[i]
+        for z in elements[1:]:
+            if z in (x, y) or table[z][y] is not None or z in table[x] or x in table[z]:
+                continue
+            table[x][y], table[z][y] = z, x
+            if bol_holds_where_filled() and fill(i + 1):
+                return True
+            table[x][y] = table[z][y] = None
+        return False
+
+    return tuple(map(tuple, table)) if fill(0) else None
+
+
+def word_values(word: Word, table, assignments, memo: dict) -> tuple[int, ...]:
+    """The value of ``word`` in the loop of ``table`` under each assignment
+    (a tuple of elements, one per letter rank), multiplying the tree as it
+    stands; ``memo`` keeps the values of the subtrees already met."""
+    try:
+        return memo[word]
+    except KeyError:
+        pass
+    if word.size == 0:
+        values = (0,) * len(assignments)
+    elif word.size == 1:
+        values = tuple(a[word.index] for a in assignments)
+    else:
+        values = tuple(
+            table[u][v]
+            for u, v in zip(
+                word_values(word.left, table, assignments, memo),
+                word_values(word.right, table, assignments, memo),
+            )
+        )
+    memo[word] = values
+    return values
+
+
+# ---------------------------------------------------------------------------
 # normal-form algebra checks (each returns the number of cases examined and
 # raises AssertionError with a witness on any failure)
 

@@ -107,6 +107,18 @@ class TestBasis:
             assert not is_symmetric(w)
             assert all(in_basis(f) for f in spine_factors(w))
 
+    @pytest.mark.parametrize(
+        "letters,max_len",
+        [("ab", n) for n in range(10)]
+        + [("abc", n) for n in range(7)]
+        + [("abcd", n) for n in range(5)],
+    )
+    def test_carrier_extensions_match_the_filtered_scan(self, letters, max_len):
+        alphabet = Alphabet(letters)
+        assert enumerate_basis(alphabet, max_len) == enumerate_filtered(
+            alphabet, max_len, in_basis
+        )
+
     def test_membership_is_hereditary(self, ab):
         # basis words of every length <= n appear in the length-n enumeration
         assert set(enumerate_basis(ab, 3)) <= set(enumerate_basis(ab, 6))
@@ -198,12 +210,17 @@ class TestCaching:
         assert not fresh_cache.basis
 
     def test_only_words_ending_in_a_letter_are_memoized(self, ab, fresh_cache):
+        # The basis is listed from one-letter extensions of the carrier, so
+        # only those and the spine factors that the carrier scan meets are
+        # memoized: 398 entries, where filtering every reduced word of
+        # length <= 8 memoized all 5,342 that end in a letter.
         enumerate_basis(ab, 8)
-        scanned = [w for n in range(2, 9) for w in enumerate_reduced(ab, n)]
-        shaped = {w for w in scanned if w.right.size == 1}
-        assert len(scanned) == 16_398
-        assert set(fresh_cache.basis) == shaped
-        assert len(shaped) < len(scanned) // 2
+        members = basis_by_fixpoint(ab, 8)
+        memo = fresh_cache.basis
+        assert all(w.reduced and w.right.size == 1 for w in memo)
+        assert all(memo[w] == (w in members) for w in memo)
+        assert len(memo) == 398
+        assert sum(memo.values()) == len(members) - 2  # the letters are not stored
 
     @pytest.mark.parametrize("letters,max_len", [("ab", 7), ("abc", 5)])
     def test_cold_membership_matches_fixpoint(self, letters, max_len, fresh_cache):

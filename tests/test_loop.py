@@ -6,6 +6,7 @@ enumerating *all* short sequences and asserting injectivity along the way.
 ``symmetric_form`` must reproduce that index entry for entry.
 """
 
+import itertools
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ import pytest
 
 from bol2 import (
     IDENTITY,
+    Alphabet,
     PalindromicForm,
     enumerate_basis,
     enumerate_loop_words,
@@ -29,9 +31,17 @@ from bol2 import (
     symmetric_form,
 )
 
+from bol2 import InternalInvariantError, loop
 from bol2.loop import free_reduce
 
-from helpers import palindrome_index
+from helpers import (
+    BOL8,
+    bol_loop_search,
+    is_associative,
+    is_bol_loop_of_exponent_two,
+    palindrome_index,
+    word_values,
+)
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +127,25 @@ class TestSymmetricForm:
             symmetric_form(parse("(a(bc))((ca)b)", abc))
         with pytest.raises(ValueError, match="not a carrier element"):
             symmetric_form(parse("a(ab)", ab))
+
+    def test_wrong_steps_on_a_valid_element_are_internal_errors(
+        self, ab, fresh_cache, monkeypatch
+    ):
+        # The element is in the carrier, so a step that goes wrong is a fault
+        # of this package (exit 6 on the command line), never the ValueError
+        # of a non-element.  A flipped order picks a non-basis core; a fold
+        # that collapses to the identity gives an unusable shrunk transpose.
+        element = parse("((ba)b)a", ab)
+        with monkeypatch.context() as patch:
+            patch.setattr(loop, "compare", lambda u, v: 1)
+            with pytest.raises(InternalInvariantError, match="no form for"):
+                symmetric_form(element)
+        with monkeypatch.context() as patch:
+            patch.setattr(loop, "normal_form_chain", lambda head, factors: IDENTITY)
+            with pytest.raises(InternalInvariantError, match="unusable"):
+                symmetric_form(element)
+        assert not fresh_cache.forms
+        assert symmetric_form(element).half == (element,)
 
     def test_memoized_per_cache(self, ab, fresh_cache):
         w = parse("ab", ab)
@@ -291,6 +320,16 @@ class TestDivision:
                 b = mul(a, x)
                 assert mul(mul(a, mul(b, a)), a) is x, (render(a, ab), render(x, ab))
 
+    def test_ldiv_returns_the_closed_form_quotient(self, ab):
+        # The search and the closed form (a(ba))a agree on every quotient,
+        # with the bound at the quotient's own length.
+        pool = enumerate_loop_words(ab, 5)
+        for a in pool:
+            for x in pool:
+                b = mul(a, x)
+                assert ldiv(a, b, ab, max_len=x.size) is x, (render(a, ab), render(x, ab))
+                assert mul(mul(a, mul(b, a)), a) is x
+
     def test_ldiv_inverts_mul_within_bound(self, ab):
         pool = enumerate_loop_words(ab, 2)
         for a in pool:
@@ -310,3 +349,44 @@ def test_first_factor_of_palindrome_values(ab, oracle):
         else:
             assert value.right is b1, render(value, ab)
             assert not in_basis(value), render(value, ab)
+
+
+class TestFiniteImage:
+    """``mul`` against a homomorphism into a finite Bol loop of exponent two.
+
+    Every assignment of loop elements to the letters extends to the words,
+    multiplying each tree as it stands; it respects the two collapses, so a
+    carrier element's value is the value of the loop element it denotes,
+    and ``mul`` must map to the table's product.  Nothing here calls ``mul``
+    to compute an expected value.
+    """
+
+    def test_the_table_is_a_bol_loop_of_exponent_two_and_no_group(self):
+        assert bol_loop_search(8) == BOL8
+        assert is_bol_loop_of_exponent_two(BOL8)
+        assert not is_associative(BOL8)
+        for order in (2, 4):  # every Bol loop of exponent two this small is a group
+            assert bol_loop_search(order) is None
+        # Two elements generate the whole loop.
+        generated, grown = set(), {2, 4}
+        while grown != generated:
+            generated = grown
+            grown = generated | {BOL8[x][y] for x in generated for y in generated}
+        assert generated == set(range(8))
+
+    @pytest.mark.parametrize("letters,max_len", [("ab", 6), ("abc", 3)])
+    def test_mul_maps_to_the_table_product(self, letters, max_len):
+        alphabet = Alphabet(letters)
+        assignments = list(itertools.product(range(8), repeat=len(letters)))
+        memo: dict = {}
+
+        def values(w):
+            return word_values(w, BOL8, assignments, memo)
+
+        pool = enumerate_loop_words(alphabet, max_len)
+        for x in pool:
+            for y in pool:
+                expected = tuple(BOL8[u][v] for u, v in zip(values(x), values(y)))
+                assert values(mul(x, y)) == expected, (
+                    render(x, alphabet), render(y, alphabet)
+                )

@@ -124,17 +124,43 @@ def test_chain_rejects_a_non_reduced_product(ab, monkeypatch):
     assert Product._interned[a, b] is ab_word
 
 
+def _fold_operands(words):
+    """The drawn words as the fold takes them: normalized, identities dropped."""
+    return tuple(w for w in map(normal_form, words) if w is not IDENTITY)
+
+
 @given(st.lists(word_strategy(AB, max_size=4), max_size=5))
 def test_chain_folding_matches_tree_reduction(chain):
-    chain = tuple(chain)
+    chain = _fold_operands(chain)
     assert normal_form_chain(IDENTITY, chain) is normal_form(left_assoc(chain))
 
 
 @given(word_strategy(AB, 4), st.lists(word_strategy(AB, max_size=3), max_size=4))
 def test_chain_folding_with_head(head, rest):
-    assert normal_form_chain(head, tuple(rest)) is normal_form(
-        left_assoc((head,) + tuple(rest))
+    head, rest = normal_form(head), _fold_operands(rest)
+    assert normal_form_chain(head, rest) is normal_form(
+        left_assoc(_fold_operands((head,)) + rest)
     )
+
+
+def test_chain_refuses_operands_outside_its_contract(ab):
+    # The fold normalizes nothing: an identity factor, a non-reduced factor
+    # or a non-reduced head raises before any word is built, so the intern
+    # table is unchanged.
+    a, b = parse("a", ab), parse("b", ab)
+    not_reduced = parse("((ba)a)a", ab)
+    before = dict(Product._interned)
+    for head, factors in [
+        (a, (IDENTITY,)),
+        (IDENTITY, (a, IDENTITY)),
+        (not_reduced, (b,)),
+        (not_reduced, ()),
+        (a, (not_reduced,)),
+        (IDENTITY, (not_reduced,)),
+    ]:
+        with pytest.raises(InternalInvariantError):
+            normal_form_chain(head, factors)
+    assert Product._interned == before
 
 
 def test_reduced_chain_criterion_over_basis_words(ab):
