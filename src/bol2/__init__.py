@@ -32,7 +32,6 @@ from .normalize import (
     is_reduced,
     normal_form,
     normal_form_chain,
-    reduce_product,
 )
 from .verify import CheckReport, SampleSpec, check_identity_suite
 from .words import (

@@ -42,10 +42,11 @@ transpose) and the core.  Otherwise both transposes end in a letter, and the
 one of them that precedes the other is the basis member.  A shrunk
 transpose is checked to be a carrier element once, by the recursive call.
 
-Wrapping may create equal adjacent entries where wrap meets core; those
-cancel in pairs (the palindrome squares them away), which can also merge the
-two middle entries into one.  Every computed form is checked to denote ``g``
-before it is memoized.
+Each step gives a wrap and a core, an odd palindrome over the basis; the
+form is the core conjugated by the wrap, ``wrap + core + reversed(wrap)``,
+freely reduced by :func:`free_reduce` (equal adjacent entries are involutions
+and cancel).  Every computed form is checked to denote ``g`` before it is
+memoized.
 """
 
 from __future__ import annotations
@@ -105,27 +106,13 @@ def free_reduce(left: tuple[Word, ...], right: tuple[Word, ...]) -> tuple[Word, 
     return left[:i] + right[j:]
 
 
-def _cancel_junction(wrap: tuple[Word, ...], core: tuple[Word, ...]) -> tuple[Word, ...]:
-    """Concatenate two half-sequences, cancelling equal entries at the seam.
-
-    Inside the full palindrome an equal adjacent pair squares to the identity;
-    when the seam eats through the whole core up to its middle entry, the two
-    middle entries merge into one.  A core's adjacent entries are distinct,
-    so the merge can only happen once the rest of the core has cancelled.
-    """
-    head = free_reduce(wrap, core[:-1])
-    if head and head[-1] is core[-1]:
-        return head
-    return head + core[-1:]
-
-
-def _palindromic_half(word: Word) -> tuple[Word, ...]:
-    """The half of the unique odd palindromic spine split of ``word``, whose
-    entries must all be basis members."""
+def _palindromic_sequence(word: Word) -> tuple[Word, ...]:
+    """The unique odd palindromic spine split of ``word``, whose entries must
+    all be basis members."""
     split = palindromic_split(word)
     if split is None or not all(in_basis(x) for x in split):
         raise InternalInvariantError(f"no palindromic split over the basis: {word!r}")
-    return split[: (len(split) + 1) // 2]
+    return split
 
 
 def symmetric_form(element: Word) -> PalindromicForm:
@@ -141,8 +128,11 @@ def symmetric_form(element: Word) -> PalindromicForm:
     if not (element.reduced and all(in_basis(f) for f in factors)):
         raise ValueError(f"not a carrier element: {element!r}")
     wrap, core = _wrap_and_core(element, factors)
+    # Conjugate the core by the wrap; the free reduction of an odd
+    # palindrome is one, so its first half is the form.
+    sequence = free_reduce(free_reduce(wrap, core), wrap[::-1])
     try:
-        form = PalindromicForm(_cancel_junction(wrap, core))
+        form = PalindromicForm(sequence[: (len(sequence) + 1) // 2])
     except ValueError as exc:  # the element is valid, so the steps are wrong
         raise InternalInvariantError(f"no form for {element!r}: {exc}") from None
     if normal_form_chain(IDENTITY, form.sequence) is not element:
@@ -164,7 +154,7 @@ def _wrap_and_core(
     wrap = factors[::-1]
     t = normal_form_chain(IDENTITY, wrap)
     if t.size < element.size:
-        return wrap, _shrunk_half(t, element)
+        return wrap, _shrunk_sequence(t, element)
     if last.size == 1:
         # The double transpose is the element itself, so ``t`` decides both
         # membership and the form.  The spine factors are basis members, so
@@ -173,7 +163,7 @@ def _wrap_and_core(
         if element.size == 1 or compare(element, t) < 0:
             return (), (element,)
         if t is element:
-            return wrap, _palindromic_half(t)
+            return wrap, _palindromic_sequence(t)
         return wrap, (t,)
     # The double transpose is the fine factorization: the spine with its
     # last factor unfolded into its own reversed spine.
@@ -184,10 +174,10 @@ def _wrap_and_core(
     # as.
     unfold_wrap = (last,) + unfolded
     if tt.size < element.size:
-        return unfold_wrap, _shrunk_half(tt, element)
+        return unfold_wrap, _shrunk_sequence(tt, element)
     if t is tt:
         # The common transpose is symmetric: extract its palindrome.
-        return wrap, _palindromic_half(t)
+        return wrap, _palindromic_sequence(t)
     # Each transpose ends in a letter and is the other's transpose, so the
     # one that precedes the other is the basis member.
     if compare(t, tt) < 0:
@@ -195,12 +185,12 @@ def _wrap_and_core(
     return unfold_wrap, (tt,)
 
 
-def _shrunk_half(reduced: Word, element: Word) -> tuple[Word, ...]:
+def _shrunk_sequence(reduced: Word, element: Word) -> tuple[Word, ...]:
     # The folded normal form of a non-reduced transpose: strictly shorter, so
     # the recursion terminates, and a non-identity carrier element, which
     # the recursive call checks.
     try:
-        return symmetric_form(reduced).half
+        return symmetric_form(reduced).sequence
     except ValueError:
         raise InternalInvariantError(
             f"transpose of {element!r} reduced to unusable {reduced!r}"

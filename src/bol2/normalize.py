@@ -2,22 +2,16 @@
 
 A word is *reduced* when no subtree has the shape ``uu`` or ``(uv)v``.  The
 normal-form map fixes letters and the identity, collapses ``uu`` to ``1`` and
-``(uv)v`` to ``u``, and otherwise recurses into both factors.  For two words
-already in normal form the product needs only a constant amount of extra
-work:
-
-    nf(u * v) = 1      if u == v,
-              = a      if u == (a v) for some a,
-              = (u v)  otherwise (and that word is always reduced).
+``(uv)v`` to ``u``, and otherwise recurses into both factors.
 
 Reducedness is a field of the word (:attr:`Word.reduced`), set from the two
-children when a product is built, so testing it costs constant time and
-normalizing a word descends only into its non-reduced subtrees (with an
-explicit stack, not recursion).  Nothing here keeps a table of its own.
-
-The fold :func:`normal_form_chain` multiplies a run of words into a head.
-It takes its operands already reduced, with no identity factor, and checks
-that contract instead of normalizing: only :func:`normal_form` normalizes.
+children when a product is built, so testing it costs constant time.  Every
+product step is one step of the fold :func:`normal_form_chain`, which
+multiplies a run of reduced, non-identity words into a reduced head and
+normalizes nothing.  :func:`normal_form` descends only into the non-reduced
+subtrees of a word (with an explicit stack, not recursion) and combines the
+normal forms of two children by one such step.  Nothing here keeps a table
+of its own.
 """
 
 from __future__ import annotations
@@ -29,7 +23,6 @@ from .words import IDENTITY, Product, Word, new_product
 __all__ = [
     "InternalInvariantError",
     "is_reduced",
-    "reduce_product",
     "normal_form",
     "normal_form_chain",
 ]
@@ -49,24 +42,6 @@ def is_reduced(word: Word) -> bool:
     return word.reduced
 
 
-def reduce_product(u: Word, v: Word) -> Word:
-    """Normal form of ``u * v`` for ``u``, ``v`` already in normal form."""
-    if u.size == 0:
-        return v
-    if v.size == 0:
-        return u
-    if u is v:
-        return IDENTITY
-    if isinstance(u, Product) and u.right is v:
-        return u.left
-    w = Product(u, v)
-    # With reduced factors the two collapses above are the only possible
-    # violations, both at the new root.
-    if not w.reduced:
-        raise InternalInvariantError(f"product of reduced words is not reduced: {w!r}")
-    return w
-
-
 def normal_form(word: Word) -> Word:
     """The reduced word obtained by collapsing all squares, bottom-up."""
     if word.reduced:
@@ -80,7 +55,8 @@ def normal_form(word: Word) -> Word:
         w = todo.pop()
         if w is None:
             v = done.pop()
-            done.append(reduce_product(done.pop(), v))
+            u = done.pop()
+            done.append(u if v is IDENTITY else normal_form_chain(u, (v,)))
         elif w.reduced:
             done.append(w)
         else:
@@ -93,13 +69,14 @@ def normal_form_chain(head: Word, factors: Iterable[Word]) -> Word:
 
     The head must be reduced and every factor reduced and not the identity
     word; each caller passes such words (spine factors, form sequences, runs
-    of basis words), so the fold normalizes nothing.  Each step is
-    :func:`reduce_product` written out in one loop: the two collapses, then
-    one read of the intern table, and on a miss the product is built without
-    a second read.  A head or factor outside this contract raises
-    :class:`InternalInvariantError` before a word with an identity or a
-    non-reduced child is built, and every product read from the intern table
-    is checked to be reduced.
+    of basis words), so the fold normalizes nothing.  For normal forms ``u``
+    and ``v`` the normal form of ``u v`` is ``1`` if ``u == v``, ``a`` if
+    ``u == (a v)``, and otherwise ``(u v)``, which is then reduced.  Each
+    step takes the two collapses, then one read of the intern table, and on
+    a miss builds the product without a second read.  A head or factor
+    outside this contract raises :class:`InternalInvariantError` before a
+    word with an identity or a non-reduced child is built, and every product
+    read from the intern table is checked to be reduced.
 
     The fold never builds a non-reduced word, so it can test a
     rearrangement of factors without interning a throwaway one: the result

@@ -17,7 +17,8 @@ bol          right Bol law          ``((x y) z) y  =  x ((y z) y)``
 exp2         exponent two           ``x x = 1``
 rip          right inverse property ``(x y) y = x``
 nuclei       no non-identity element associates in the middle with all
-             pairs
+             pairs (on a one-letter alphabet the loop is the group of
+             order 2, so ``a`` passes the test and the check fails)
 unique-form  distinct bounded palindromic forms denote distinct elements,
              and each is the canonical form of its value
 transversal  every run of basis words that moves the identity returns to

@@ -5,14 +5,10 @@ Criteria with a pinned wall-clock tolerance assert it; the others just report
 their elapsed time.
 """
 
-import json
 import time
 from contextlib import contextmanager
 
-import pytest
-
 from bol2 import (
-    IDENTITY,
     SampleSpec,
     check_identity_suite,
     enumerate_basis,

@@ -513,6 +513,16 @@ class TestExitCodes:
         assert code == 1
         assert "verdict: fail" in out
 
+    def test_one_letter_nuclei_names_the_central_element(self, capsys):
+        # On one letter the loop is the group of order 2: a is central.
+        code, out, _ = run(capsys, "check", "nuclei", "--max-len", "2",
+                           "--alphabet", "a")
+        assert code == 1
+        assert (
+            "  non-identity element a passes the middle-nucleus test"
+            " at this bound\n"
+        ) in out
+
 
 def test_module_entry_point_runs_in_a_subprocess():
     proc = subprocess.run(

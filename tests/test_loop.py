@@ -80,6 +80,8 @@ class TestSymmetricForm:
             ("(b(ba))a", ["(b(ba))a"]),
             ("(((ba)b)a)b", ["b", "a", "b"]),
             ("((ab)a)(ba)", ["ba", "a", "b", "a"]),
+            # The wrap eats a one-entry core and the middle entries merge.
+            ("((b(ba))a)b", ["b", "a", "ba", "b"]),
         ],
     )
     def test_goldens(self, ab, text, half):

@@ -18,7 +18,6 @@ from bol2 import (
     normal_form,
     normal_form_chain,
     parse,
-    reduce_product,
     render,
 )
 from bol2 import normalize
@@ -55,6 +54,7 @@ from helpers import (
         ("b(ba)", "b(ba)"),
         ("((ba)(ab))(ab)", "ba"),
         ("(a(bb))a", "1"),
+        ("(aa)(bb)", "1"),
     ],
 )
 def test_goldens(ab, text, expected):
@@ -85,22 +85,6 @@ def test_idempotent_and_shrinking(w):
 @given(word_strategy(AB, max_size=9).filter(is_reduced))
 def test_fixes_reduced_words(w):
     assert normal_form(w) is w
-
-
-def test_reduce_product_handles_identity_operands(ab):
-    w = parse("ba", ab)
-    assert reduce_product(IDENTITY, w) is w
-    assert reduce_product(w, IDENTITY) is w
-    assert reduce_product(IDENTITY, IDENTITY) is IDENTITY
-
-
-def test_reduce_product_rejects_unreduced_operands(ab):
-    # The two-step collapse only works from reduced operands; feeding it
-    # garbage trips the internal soundness check instead of returning a
-    # non-reduced "normal form".
-    u = Product(parse("a", ab), parse("bb", ab))
-    with pytest.raises(InternalInvariantError):
-        reduce_product(u, parse("b", ab))
 
 
 def test_chain_rejects_a_non_reduced_product(ab, monkeypatch):

@@ -4,14 +4,12 @@ import functools
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from bol2 import (
     IDENTITY,
     Alphabet,
     Letter,
     Product,
-    Word,
     WordSyntaxError,
     compare,
     enumerate_reduced,
