@@ -20,10 +20,12 @@ table, and only the words that pass those reads are memoized for basis
 membership.  Membership does not depend on the alphabet — only letter ranks
 matter — so that table, and the canonical-form table of :mod:`.loop`, live
 in one process-wide owner, :data:`SHARED_CACHE`.  This module also owns the
-cache of complete length levels of reduced words.  The carrier is listed by
-filtering those levels; the basis is listed from the carrier, as the letters
-plus the members among its elements' one-letter extensions ``(c l)``, since
-every longer basis word has that shape.  No function here takes a
+cache of complete length levels of reduced words.  Each level is built in
+the word order of :func:`~bol2.words.compare`, from the levels below it, so
+no listing sorts.  The carrier is listed by filtering those levels; the basis
+is listed from the carrier, as the letters plus the members among its
+elements' one-letter extensions ``(c l)``, since every longer basis word has
+that shape, tried in the word order.  No function here takes a
 time limit: the command line's ``--budget`` interrupts whatever is running
 (see :mod:`.cli`), and every table here stores only finished values.
 """
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from types import SimpleNamespace
-from typing import Callable, Iterator
+from typing import Callable
 
 from .normalize import is_reduced, normal_form, normal_form_chain
 from .words import (
@@ -44,9 +46,9 @@ from .words import (
     clip,
     compare,
     is_symmetric,
+    new_product,
     render,
     spine_factors,
-    word_key,
 )
 
 __all__ = [
@@ -144,33 +146,41 @@ def _level(n_letters: int, size: int) -> tuple[Word, ...]:
         return _reduced_words[n_letters, size]
     except KeyError:
         pass
-    # Through a list: a tuple grown from a generator goes back to the
-    # youngest garbage-collector generation at each resize and is scanned
-    # again, which costs about a tenth of the build.
-    level = tuple(list(_products(n_letters, size)))
+    # ``_products`` returns a list: a tuple grown from a generator goes back
+    # to the youngest garbage-collector generation at each resize and is
+    # scanned again, which costs about a tenth of the build.
+    level = tuple(_products(n_letters, size))
     _reduced_words[n_letters, size] = level
     return level
 
 
-def _products(n_letters: int, size: int) -> Iterator[Word]:
+def _products(n_letters: int, size: int) -> list[Word]:
     # Letters are the level of size 1; a longer word is a product of two
-    # shorter ones, pruned of the two square collapses at its root.
+    # shorter ones, pruned of the two square collapses at its root.  The
+    # loops run in the word order (right factor's size, the right factor in
+    # its level's order, then the left factor in its level's order), so a
+    # level built from ordered levels is ordered.
     if size == 1:
-        yield from map(Letter, range(n_letters))
-    for left_size in range(1, size):
-        rights = _level(n_letters, size - left_size)
-        for left in _level(n_letters, left_size):
-            for right in rights:
-                if left is right:
+        return list(map(Letter, range(n_letters)))
+    interned = Product._interned
+    out: list[Word] = []
+    for right_size in range(1, size):
+        lefts = _level(n_letters, size - right_size)
+        for right in _level(n_letters, right_size):
+            for left in lefts:
+                if left is right or (left.size > 1 and left.right is right):
                     continue
-                if isinstance(left, Product) and left.right is right:
-                    continue
-                yield Product(left, right)
+                w = interned.get((left, right))
+                if w is None:
+                    w = new_product(left, right)
+                out.append(w)
+    return out
 
 
 def enumerate_reduced(alphabet: Alphabet, size: int) -> tuple[Word, ...]:
-    """All reduced words of exactly ``size`` letters, built bottom-up with the
-    two square collapses pruned at the root of each product."""
+    """All reduced words of exactly ``size`` letters in the word order, built
+    bottom-up in that order with the two square collapses pruned at the root
+    of each product."""
     if size < 1:
         raise ValueError("word size must be at least 1")
     return _level(len(alphabet), size)
@@ -179,51 +189,53 @@ def enumerate_reduced(alphabet: Alphabet, size: int) -> tuple[Word, ...]:
 def enumerate_filtered(
     alphabet: Alphabet, max_len: int, keep: Callable[[Word], bool]
 ) -> list[Word]:
-    """Reduced words of length at most ``max_len`` that satisfy ``keep``,
-    sorted by the word order."""
+    """Reduced words of length at most ``max_len`` that satisfy ``keep``, in
+    the word order: shorter first, and each level is built in that order."""
     n_letters = len(alphabet)
     scanned = itertools.chain.from_iterable(
         _level(n_letters, n) for n in range(1, max_len + 1)
     )
-    out = [w for w in scanned if keep(w)]
-    out.sort(key=word_key)
-    return out
+    return [w for w in scanned if keep(w)]
 
 
 def enumerate_candidates(alphabet: Alphabet, max_len: int) -> list[Word]:
-    """Candidates of length at most ``max_len``, sorted by the word order."""
+    """Candidates of length at most ``max_len``, in the word order."""
     return enumerate_filtered(alphabet, max_len, is_candidate)
 
 
 def enumerate_basis(alphabet: Alphabet, max_len: int) -> list[Word]:
-    """Basis members of length at most ``max_len``, sorted by the word order.
+    """Basis members of length at most ``max_len``, in the word order.
 
     A basis word longer than one letter is ``(c l)``: its last spine factor
     is a letter ``l``, and the product ``c`` of the others is a carrier
     element.  So the basis is the letters plus the members among the
     one-letter extensions of the carrier elements of length below
     ``max_len``, and the reduced words of length ``max_len`` are never
-    listed.
+    listed.  The extensions are tried in the word order, which compares the
+    right factor first: by the size of ``c``, then by ``l``, then by ``c``
+    in its level's order.
     """
     if max_len < 1:
         return []
     letters = alphabet.letters
     out = list(letters)
-    for c in enumerate_loop_words(alphabet, max_len - 1)[1:]:
+    carrier = enumerate_loop_words(alphabet, max_len - 1)[1:]
+    for _, level in itertools.groupby(carrier, key=lambda c: c.size):
+        level = list(level)
         # ``(c l)`` is reduced unless ``l`` is ``c`` or ``c``'s right child.
-        last = c.right if c.size > 1 else c
+        lasts = [c.right if c.size > 1 else c for c in level]
         for letter in letters:
-            if letter is not last:
-                w = Product(c, letter)
-                if in_basis(w):
-                    out.append(w)
-    out.sort(key=word_key)
+            for c, last in zip(level, lasts):
+                if last is not letter:
+                    w = Product(c, letter)
+                    if in_basis(w):
+                        out.append(w)
     return out
 
 
 def enumerate_loop_words(alphabet: Alphabet, max_len: int) -> list[Word]:
     """Carrier elements of length at most ``max_len`` (identity included),
-    sorted by the word order."""
+    in the word order."""
     return [IDENTITY] + enumerate_filtered(alphabet, max_len, in_loop)
 
 

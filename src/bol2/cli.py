@@ -1,10 +1,12 @@
 """Command line front end.
 
 Every command parses its operands, calls the library and prints the result
-as text or JSON.  ``--budget MS`` arms one POSIX interval timer, whose
-``SIGALRM`` handler raises :class:`BudgetExceeded` wherever the command is,
-except inside a ``gc`` callback, where Python would discard the exception:
-there it fires again 1 ms later.  The timer is stopped before anything is
+as text or JSON.  :func:`main` builds its argument parser once per process
+and reuses it: a parse fills a new namespace and leaves the parser as it
+was.  ``--budget MS`` arms one POSIX interval timer, whose ``SIGALRM``
+handler raises :class:`BudgetExceeded` wherever the command is, except
+inside a ``gc`` callback, where Python would discard the exception: there
+it fires again 1 ms later.  The timer is stopped before anything is
 printed, and the previous handler is back before :func:`main` returns; the
 library takes no time limit.  An interrupt may land between any two
 bytecodes, so each memo store writes a finished value in one assignment: the
@@ -31,7 +33,7 @@ import signal
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, fields
-from functools import partial
+from functools import cache, partial
 from typing import Sequence
 
 from .basis import (
@@ -52,6 +54,7 @@ from .words import (
     fine_factors,
     parse,
     render,
+    render_all,
     spine_factors,
     transpose,
 )
@@ -227,7 +230,7 @@ def _cmd_enum(ns) -> int:
     alphabet = _alphabet(ns)
     enumerate_kind = _ENUM_KINDS[ns.kind]
     words = enumerate_kind(alphabet, ns.max_len)
-    rendered = [render(w, alphabet) for w in words]
+    rendered = render_all(words, alphabet)
     _emit(ns, rendered + [f"count: {len(rendered)}"], rendered)
     return 0
 
@@ -392,10 +395,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # One parser per process: parsing keeps no state in the parser, since
+    # each call fills a new namespace from the registered defaults.
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -48,6 +48,7 @@ __all__ = [
     "WordSyntaxError",
     "parse",
     "render",
+    "render_all",
     "clip",
     "left_assoc",
     "spine_factors",
@@ -132,8 +133,9 @@ def new_product(left: Word, right: Word) -> Product:
 
     The caller has already looked the pair up in ``Product._interned`` and
     missed, and neither factor is the identity word; :class:`Product` does
-    both before it calls this, and so does the fold of :mod:`.normalize`,
-    which thereby reads the table once per new product."""
+    both before it calls this, and so do the fold of :mod:`.normalize` and
+    the level build of :mod:`.basis`, which thereby read the table once per
+    new product."""
     self = object.__new__(Product)
     self.left = left
     self.right = right
@@ -242,6 +244,42 @@ def render(word: Word, alphabet: Alphabet) -> str:
     """Inverse of :func:`parse`: letters bare, every composite factor
     parenthesized, the top level bare.  The identity word renders as ``1``."""
     return _spell(word, alphabet.name)
+
+
+def render_all(words: Iterable[Word], alphabet: Alphabet) -> list[str]:
+    """``[render(w, alphabet) for w in words]``, with each distinct composite
+    subword spelled once.
+
+    A listing shares most of its subwords (a level of reduced words is built
+    from the levels below it), so a word is spelled from the spellings of
+    its two children, kept in a table that lives only for this call.  The
+    subwords waiting for their children are kept on an explicit stack, so
+    the depth of a word is not bounded by the recursion limit."""
+    # A letter spells bare; a composite subword is stored parenthesized.
+    spelled: dict[Word, str] = {}
+    out = []
+    for word in words:
+        if word.size == 0:
+            out.append("1")
+            continue
+        stack = [word]
+        while stack:
+            w = stack[-1]
+            if w in spelled:
+                stack.pop()
+            elif isinstance(w, Product):
+                left = spelled.get(w.left)
+                right = spelled.get(w.right)
+                if left is not None and right is not None:
+                    spelled[w] = f"({left}{right})"
+                    stack.pop()
+                else:
+                    stack += (w.right, w.left)
+            else:
+                spelled[w] = alphabet.name(w.index)
+        text = spelled[word]
+        out.append(text[1:-1] if word.size > 1 else text)
+    return out
 
 
 def clip(text: str) -> str:
@@ -376,4 +414,6 @@ def compare(u: Word, v: Word) -> int:
 
 
 word_key = cmp_to_key(compare)
-"""Sort key for :func:`compare` (use as ``sorted(words, key=word_key)``)."""
+"""Sort key for :func:`compare` (use as ``sorted(words, key=word_key)``).
+No enumerator sorts, since each lists in this order; the tests sort with it
+to check that."""

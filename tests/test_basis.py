@@ -27,7 +27,7 @@ from bol2 import (
     transpose,
     why_not_in_loop,
 )
-from bol2 import BudgetExceeded, Product
+from bol2 import BudgetExceeded
 from bol2.basis import enumerate_filtered
 from bol2.words import word_key
 
@@ -179,15 +179,20 @@ class TestLevels:
         alphabet = Alphabet("pqrstu")  # its levels are built by no other test
         key = (len(alphabet), 3)
         made = itertools.count()
-        build = Product.__new__
+        build = basis.new_product
 
-        def stop_at_the_51st(cls, left, right):
+        def stop_at_the_51st(left, right):
             if next(made) == 50:
                 raise BudgetExceeded("wall-clock budget exhausted")
-            return build(cls, left, right)
+            return build(left, right)
 
-        # The 30 words of length 2 and 20 of length 3 come before the cut.
-        monkeypatch.setattr(Product, "__new__", stop_at_the_51st)
+        # The level build calls new_product for each word not yet interned.
+        # In a fresh process the 30 words of length 2 come first, then the
+        # first 20 of length 3 in the word order, all of shape (x p) with x
+        # of length 2.  Words over pqrs share their letters' ranks with abcd,
+        # so another test may have interned some of them; that only moves
+        # the cut further into length 3, where 246 words have a letter t or u.
+        monkeypatch.setattr(basis, "new_product", stop_at_the_51st)
         with pytest.raises(BudgetExceeded):
             enumerate_filtered(alphabet, 3, bool)
         assert (len(alphabet), 2) in basis._reduced_words
@@ -196,6 +201,28 @@ class TestLevels:
         words = enumerate_filtered(alphabet, 3, bool)
         assert basis._reduced_words[key] == enumerate_reduced(alphabet, 3)
         assert len(words) == 6 + 30 + len(basis._reduced_words[key])
+
+
+class TestOrder:
+    """No enumerator sorts: each level is built in the word order, and a
+    listing filters the levels shortest first."""
+
+    @pytest.mark.parametrize(
+        "letters,max_len", [("ab", 8), ("abc", 6), ("abcd", 4), ("a", 4)]
+    )
+    def test_levels_and_listings_are_in_the_word_order(self, letters, max_len):
+        alphabet = Alphabet(letters)
+        for n in range(1, max_len + 1):
+            level = list(enumerate_reduced(alphabet, n))
+            assert level == sorted(level, key=word_key), n
+        listings = {
+            "filtered": enumerate_filtered(alphabet, max_len, bool),
+            "candidates": enumerate_candidates(alphabet, max_len),
+            "basis": enumerate_basis(alphabet, max_len),
+            "carrier": enumerate_loop_words(alphabet, max_len),
+        }
+        for name, words in listings.items():
+            assert words == sorted(words, key=word_key), name
 
 
 class TestCaching:

@@ -12,6 +12,9 @@ from bol2 import (
     Product,
     WordSyntaxError,
     compare,
+    enumerate_basis,
+    enumerate_candidates,
+    enumerate_loop_words,
     enumerate_reduced,
     is_symmetric,
     left_assoc,
@@ -20,7 +23,8 @@ from bol2 import (
     spine_factors,
     transpose,
 )
-from bol2.words import fine_factors, palindromic_split, word_key
+from bol2.basis import enumerate_filtered
+from bol2.words import fine_factors, palindromic_split, render_all, word_key
 
 from helpers import (
     AB,
@@ -113,9 +117,44 @@ class TestParseRender:
         w = Product(parse("b", ab), Letter(27))
         with pytest.raises(ValueError, match="outside alphabet"):
             render(w, ab)
+        with pytest.raises(ValueError, match="outside alphabet"):
+            render_all([w], ab)
         assert repr(w) == "Word('bx27')"
         assert repr(Product(w, Letter(2))) == "Word('(bx27)c')"
         assert repr(IDENTITY) == "Word('1')"
+
+    @pytest.mark.parametrize("letters,max_len", [("ab", 7), ("abc", 5)])
+    @pytest.mark.parametrize(
+        "enumerate_kind",
+        [
+            functools.partial(enumerate_filtered, keep=bool),
+            enumerate_candidates,
+            enumerate_basis,
+            enumerate_loop_words,
+        ],
+        ids=["W", "D", "R", "B"],
+    )
+    def test_render_all_spells_a_listing_as_render_does(
+        self, letters, max_len, enumerate_kind
+    ):
+        alphabet = Alphabet(letters)
+        words = enumerate_kind(alphabet, max_len)
+        assert render_all(words, alphabet) == [render(w, alphabet) for w in words]
+
+    def test_render_all_of_repeats_the_identity_and_unreduced_words(self, ab):
+        words = [parse(t, ab) for t in ("1", "aa", "(aa)(aa)", "a", "1", "aa")]
+        assert render_all(words, ab) == ["1", "aa", "(aa)(aa)", "a", "1", "aa"]
+        assert render_all([], ab) == []
+
+    @pytest.mark.parametrize("shape", ["left", "right"])
+    def test_render_all_needs_no_recursion(self, ab, shape):
+        # 2,001 letters, 2,000 products deep.
+        a, b = ab.letters
+        if shape == "left":
+            w = left_assoc([a] + [b, a] * 1000)
+        else:
+            w = functools.reduce(lambda acc, y: Product(y, acc), [b, a] * 1000, a)
+        assert render_all([w, IDENTITY, w], ab) == [render(w, ab), "1", render(w, ab)]
 
     def test_identity_only_stands_alone(self, ab):
         with pytest.raises(WordSyntaxError):
