@@ -1,12 +1,10 @@
 """Command line front end.
 
 Every command parses its operands, calls the library and prints the result
-as text or JSON.  :func:`main` builds its argument parser once per process
-and reuses it: a parse fills a new namespace and leaves the parser as it
-was.  ``--budget MS`` arms one POSIX interval timer, whose ``SIGALRM``
-handler raises :class:`BudgetExceeded` wherever the command is, except
-inside a ``gc`` callback, where Python would discard the exception: there
-it fires again 1 ms later.  The timer is stopped before anything is
+as text or JSON.  ``--budget MS`` arms one POSIX interval timer, whose
+``SIGALRM`` handler raises :class:`BudgetExceeded` wherever the command is,
+except inside a ``gc`` callback, where Python would discard the exception:
+there it fires again 1 ms later.  The timer is stopped before anything is
 printed, and the previous handler is back before :func:`main` returns; the
 library takes no time limit.  An interrupt may land between any two
 bytecodes, so each memo store writes a finished value in one assignment: the
@@ -33,7 +31,7 @@ import signal
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, fields
-from functools import cache, partial
+from functools import partial
 from typing import Sequence
 
 from .basis import (
@@ -395,16 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    # One parser per process: parsing keeps no state in the parser, since
-    # each call fills a new namespace from the registered defaults.
-    return build_parser()
-
-
 def main(argv: Sequence[str] | None = None) -> int:
+    parser = build_parser()
     try:
-        ns = _parser().parse_args(argv)
+        ns = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -251,35 +251,13 @@ def render_all(words: Iterable[Word], alphabet: Alphabet) -> list[str]:
     subword spelled once.
 
     A listing shares most of its subwords (a level of reduced words is built
-    from the levels below it), so a word is spelled from the spellings of
-    its two children, kept in a table that lives only for this call.  The
-    subwords waiting for their children are kept on an explicit stack, so
-    the depth of a word is not bounded by the recursion limit."""
-    # A letter spells bare; a composite subword is stored parenthesized.
+    from the levels below it), so the walks share one table of spellings
+    that lives only for this call, and a listed word's string is the
+    table's own.  The table holds every composite subword, which suits a
+    listing of many short words; :func:`render` spells one word in time and
+    space linear in its size."""
     spelled: dict[Word, str] = {}
-    out = []
-    for word in words:
-        if word.size == 0:
-            out.append("1")
-            continue
-        stack = [word]
-        while stack:
-            w = stack[-1]
-            if w in spelled:
-                stack.pop()
-            elif isinstance(w, Product):
-                left = spelled.get(w.left)
-                right = spelled.get(w.right)
-                if left is not None and right is not None:
-                    spelled[w] = f"({left}{right})"
-                    stack.pop()
-                else:
-                    stack += (w.right, w.left)
-            else:
-                spelled[w] = alphabet.name(w.index)
-        text = spelled[word]
-        out.append(text[1:-1] if word.size > 1 else text)
-    return out
+    return [_spell(w, alphabet.name, spelled) for w in words]
 
 
 def clip(text: str) -> str:
@@ -290,22 +268,41 @@ def clip(text: str) -> str:
     return f"{text[:60]}... ({len(text)} characters)"
 
 
-def _spell(word: Word, name: Callable[[int], str]) -> str:
-    # The one tree walk behind render and repr; ``name`` spells a letter rank.
-    # An explicit stack of pending right factors and closing parentheses, so
-    # the depth of a word is not bounded by the recursion limit.
+def _spell(
+    word: Word, name: Callable[[int], str], spelled: dict[Word, str] | None = None
+) -> str:
+    # The one tree walk behind render, render_all and repr; ``name`` spells a
+    # letter rank.  An explicit stack of pending subwords and closing marks,
+    # so the depth of a word is not bounded by the recursion limit.  A
+    # composite's closing mark holds where its spelling starts in ``parts``:
+    # 0 for the top level, which stays bare.  Given a table ``spelled``, the
+    # walk copies a subword found there instead of walking it, and stores
+    # each composite it walks without its outer parentheses.
     if word.size == 0:
         return "1"
+    if not isinstance(word, Product):
+        return name(word.index)
+    if spelled is not None and word in spelled:
+        return spelled[word]
     parts: list[str] = []
-    stack: list = [word.right, word.left] if isinstance(word, Product) else [word]
+    stack: list = [(word, 0), word.right, word.left]
     while stack:
         w = stack.pop()
-        while isinstance(w, Product):
+        if isinstance(w, tuple):
+            sub, start = w
+            if spelled is not None:
+                text = spelled[sub] = "".join(parts[start:])
+                parts[start:] = (text,)
+            if start:
+                parts.append(")")
+        elif not isinstance(w, Product):
+            parts.append(name(w.index))
+        elif spelled is not None and w in spelled:
+            parts += ("(", spelled[w], ")")
+        else:
             parts.append("(")
-            stack += (")", w.right)
-            w = w.left
-        parts.append(w if isinstance(w, str) else name(w.index))
-    return "".join(parts)
+            stack += ((w, len(parts)), w.right, w.left)
+    return parts[0] if spelled is not None else "".join(parts)
 
 
 def left_assoc(factors: Iterable[Word]) -> Word:

@@ -239,43 +239,6 @@ class TestCheck:
         assert {name: getattr(ns, name) for name in defaults} == defaults
 
 
-class TestSharedParser:
-    """main reuses one parser per process; no call may leave state in it."""
-
-    def test_a_sampled_check_leaves_the_defaults_alone(self, capsys):
-        code, out, _ = run(
-            capsys, "check", "bol", "--sample", "7", "--seed", "5",
-            "--exhaustive-limit", "0", "--format", "json",
-        )
-        assert code == 0 and json.loads(out)["seed"] == 5
-        code, out, _ = run(capsys, "check", "bol", "--format", "json")
-        report = json.loads(out)
-        spec = SampleSpec()
-        assert code == 0
-        assert report["seed"] is None  # exhaustive again
-        assert report["cases"] == len(enumerate_loop_words(AB, spec.max_len)) ** 3
-        assert f"length <= {spec.max_len} " in report["universe"]
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["enum", "B", "--max-len", "4", "--format", "json"],
-            ["check", "bol", "--format", "json"],
-            ["mul", "ba", "a"],
-        ],
-    )
-    def test_a_usage_error_between_calls_changes_nothing(self, capsys, argv):
-        code, first, _ = run(capsys, *argv)
-        assert code == 0
-        code, out, err = run(capsys, "check", "bol", "--sample", "0", "--seed", "x")
-        assert code == 2 and not out and "usage:" in err
-        code, second, _ = run(capsys, *argv)
-        assert code == 0
-        if argv[0] == "check":
-            first, second = without_elapsed(first), without_elapsed(second)
-        assert second == first
-
-
 class TestExitCodes:
     @pytest.mark.parametrize(
         "argv,complaint",
