@@ -19,22 +19,30 @@ child) is a letter are two field reads.  So the candidate test keeps no
 table, and only the words that pass those reads are memoized for basis
 membership.  Membership does not depend on the alphabet — only letter ranks
 matter — so that table, and the canonical-form table of :mod:`.loop`, live
-in one process-wide owner, :data:`SHARED_CACHE`.  This module also owns the
-cache of complete length levels of reduced words.  Each level is built in
-the word order of :func:`~bol2.words.compare`, from the levels below it, so
-no listing sorts.  The carrier is listed by filtering those levels; the basis
-is listed from the carrier, as the letters plus the members among its
-elements' one-letter extensions ``(c l)``, since every longer basis word has
-that shape, tried in the word order.  No function here takes a
-time limit: the command line's ``--budget`` interrupts whatever is running
-(see :mod:`.cli`), and every table here stores only finished values.
+in one process-wide owner, :data:`SHARED_CACHE`.
+
+The carrier and the basis are generated level by level, not filtered: a
+carrier element longer than a letter is a carrier element times a basis
+word, and a basis word longer than a letter is a carrier element times a
+letter, so each level is built from shorter levels of the two (see
+:func:`_levels`), and only the one-letter extensions are tested for
+membership.  This module also owns the cache of complete length levels of
+reduced words, which :func:`enumerate_filtered` scans for the listings
+that need every reduced word (all of them, and the candidates), for
+:func:`basis_by_fixpoint` and for :func:`~bol2.loop.ldiv`'s search.  Every
+level, generated or cached, is built in the word order of
+:func:`~bol2.words.compare` from ordered levels below it, so no listing
+sorts.  No function here takes a time limit: the command line's
+``--budget`` interrupts whatever is running (see :mod:`.cli`), and every
+table here stores only finished values; the generated levels are in no
+table.
 """
 
 from __future__ import annotations
 
 import itertools
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 from .normalize import is_reduced, normal_form, normal_form_chain
 from .words import (
@@ -155,25 +163,35 @@ def _level(n_letters: int, size: int) -> tuple[Word, ...]:
 
 
 def _products(n_letters: int, size: int) -> list[Word]:
-    # Letters are the level of size 1; a longer word is a product of two
-    # shorter ones, pruned of the two square collapses at its root.  The
-    # loops run in the word order (right factor's size, the right factor in
-    # its level's order, then the left factor in its level's order), so a
-    # level built from ordered levels is ordered.
+    # Letters are the level of size 1; a longer word is a reduced product of
+    # two shorter ones.  The right factor's size ascends, so a level built
+    # from ordered levels is ordered.
     if size == 1:
         return list(map(Letter, range(n_letters)))
-    interned = Product._interned
     out: list[Word] = []
     for right_size in range(1, size):
-        lefts = _level(n_letters, size - right_size)
-        for right in _level(n_letters, right_size):
-            for left in lefts:
-                if left is right or (left.size > 1 and left.right is right):
-                    continue
-                w = interned.get((left, right))
-                if w is None:
-                    w = new_product(left, right)
-                out.append(w)
+        out += _reduced_products(
+            _level(n_letters, size - right_size), _level(n_letters, right_size)
+        )
+    return out
+
+
+def _reduced_products(lefts: Sequence[Word], rights: Sequence[Word]) -> list[Word]:
+    """The products ``(left right)`` of reduced words that are reduced: every
+    pair but those where ``right`` is ``left`` or ``left``'s right child, the
+    two square collapses at the root.  The loops run in the word order (the
+    right factor, then the left), so two ordered levels, each of one size,
+    give an ordered block."""
+    interned = Product._interned
+    out: list[Word] = []
+    for right in rights:
+        for left in lefts:
+            if left is right or (left.size > 1 and left.right is right):
+                continue
+            w = interned.get((left, right))
+            if w is None:
+                w = new_product(left, right)
+            out.append(w)
     return out
 
 
@@ -190,7 +208,12 @@ def enumerate_filtered(
     alphabet: Alphabet, max_len: int, keep: Callable[[Word], bool]
 ) -> list[Word]:
     """Reduced words of length at most ``max_len`` that satisfy ``keep``, in
-    the word order: shorter first, and each level is built in that order."""
+    the word order: shorter first, and each level is built in that order.
+
+    This scans every reduced word up to ``max_len`` (about 2.5 million on
+    ``ab`` to 11), so the carrier and the basis are generated instead; the
+    scan serves the listings of all reduced words and of the candidates,
+    and :func:`~bol2.loop.ldiv`'s search."""
     n_letters = len(alphabet)
     scanned = itertools.chain.from_iterable(
         _level(n_letters, n) for n in range(1, max_len + 1)
@@ -203,40 +226,51 @@ def enumerate_candidates(alphabet: Alphabet, max_len: int) -> list[Word]:
     return enumerate_filtered(alphabet, max_len, is_candidate)
 
 
-def enumerate_basis(alphabet: Alphabet, max_len: int) -> list[Word]:
-    """Basis members of length at most ``max_len``, in the word order.
+def _levels(alphabet: Alphabet, max_len: int) -> Iterator[list[Word]]:
+    """The carrier level C_n and then the basis level B_n, for n = 1, …,
+    ``max_len``, each in the word order and each built only when the caller
+    asks for it.
 
-    A basis word longer than one letter is ``(c l)``: its last spine factor
-    is a letter ``l``, and the product ``c`` of the others is a carrier
-    element.  So the basis is the letters plus the members among the
-    one-letter extensions of the carrier elements of length below
-    ``max_len``, and the reduced words of length ``max_len`` are never
-    listed.  The extensions are tried in the word order, which compares the
-    right factor first: by the size of ``c``, then by ``l``, then by ``c``
-    in its level's order.
+    C_1 and B_1 are the letters.  A longer carrier element is ``(c h)``: its
+    last spine factor ``h`` is a basis word of some length j < n, and the
+    product ``c`` of the others is a carrier element of length n − j.  So
+    C_n is every reduced such product, built block by block, j ascending,
+    which keeps the word order.  A longer basis word ends in a letter (a
+    candidate's right child is one), so B_n is the members among the first
+    block, the products ``(c l)`` with ``c`` in C_{n−1} and a letter ``l``.
+    The levels live only as long as the generator.
     """
-    if max_len < 1:
-        return []
-    letters = alphabet.letters
-    out = list(letters)
-    carrier = enumerate_loop_words(alphabet, max_len - 1)[1:]
-    for _, level in itertools.groupby(carrier, key=lambda c: c.size):
-        level = list(level)
-        # ``(c l)`` is reduced unless ``l`` is ``c`` or ``c``'s right child.
-        lasts = [c.right if c.size > 1 else c for c in level]
-        for letter in letters:
-            for c, last in zip(level, lasts):
-                if last is not letter:
-                    w = Product(c, letter)
-                    if in_basis(w):
-                        out.append(w)
-    return out
+    letters = list(alphabet.letters)
+    carrier: list[list[Word]] = [[]]  # carrier[k] is C_k; the identity is no factor
+    basis: list[list[Word]] = [[]]  # basis[j] is B_j
+    for n in range(1, max_len + 1):
+        level = list(letters) if n == 1 else _reduced_products(carrier[n - 1], letters)
+        ends_in_letter = len(level)
+        for j in range(2, n):
+            level += _reduced_products(carrier[n - j], basis[j])
+        carrier.append(level)
+        yield level
+        basis.append([w for w in level[:ends_in_letter] if in_basis(w)])
+        yield basis[n]
+
+
+def enumerate_basis(alphabet: Alphabet, max_len: int) -> list[Word]:
+    """Basis members of length at most ``max_len``, in the word order: the
+    basis levels of :func:`_levels`.  Each follows the carrier level of its
+    length, so the top carrier level is built too, though only its first
+    block is read."""
+    levels = itertools.islice(_levels(alphabet, max_len), 1, None, 2)
+    return list(itertools.chain.from_iterable(levels))
 
 
 def enumerate_loop_words(alphabet: Alphabet, max_len: int) -> list[Word]:
     """Carrier elements of length at most ``max_len`` (identity included),
-    in the word order."""
-    return [IDENTITY] + enumerate_filtered(alphabet, max_len, in_loop)
+    in the word order: the carrier levels of :func:`_levels`, read up to
+    C_max_len, so that B_max_len is never built."""
+    if max_len < 1:
+        return [IDENTITY]
+    levels = itertools.islice(_levels(alphabet, max_len), 0, 2 * max_len - 1, 2)
+    return [IDENTITY, *itertools.chain.from_iterable(levels)]
 
 
 def basis_by_fixpoint(alphabet: Alphabet, max_len: int) -> frozenset[Word]:
@@ -245,6 +279,8 @@ def basis_by_fixpoint(alphabet: Alphabet, max_len: int) -> frozenset[Word]:
 
     Cross-checks the recursive :func:`in_basis` in the test suite.
     """
+    if max_len < 1:
+        return frozenset()
     members: set[Word] = set(alphabet.letters)
     for n in range(2, max_len + 1):
         for w in enumerate_reduced(alphabet, n):

@@ -261,6 +261,55 @@ def palindrome_index(
 
 
 # ---------------------------------------------------------------------------
+# level sizes by counting: oracles for the listings that never list a word
+
+
+def carrier_level_sizes(basis_sizes: list[int]) -> list[int]:
+    """|C_1|, ..., |C_N| from the basis level sizes |B_1|, ..., |B_N|.
+
+    D[n][j] counts the carrier elements of length n whose last spine factor
+    has j letters; D[1][1] = |B_1|, the letters.  A longer element is a
+    product ``(c h)`` with ``c`` in C_{n-j} and ``h`` in B_j, less the pairs
+    where ``h`` is ``c``'s last spine factor (D[n-j][j] of them, counting a
+    letter as its own last factor) or ``c`` itself ([2j = n]·|B_j|).  The
+    two exclusions meet only at n = 2, j = 1, where ``c`` is a letter, so
+    |B_1| is added back there.
+    """
+    n_max = len(basis_sizes)
+    b = [0, *basis_sizes]
+    c = [0] * (n_max + 1)
+    d = [[0] * (n_max + 1) for _ in range(n_max + 1)]
+    if n_max:
+        d[1][1] = c[1] = b[1]
+    for n in range(2, n_max + 1):
+        for j in range(1, n):
+            d[n][j] = c[n - j] * b[j] - d[n - j][j] - (b[j] if 2 * j == n else 0)
+        if n == 2:
+            d[2][1] += b[1]
+        c[n] = sum(d[n])
+    return c[1:]
+
+
+def reduced_level_sizes(n_letters: int, max_len: int) -> list[int]:
+    """W_1, ..., W_N, the numbers of reduced words of each length.
+
+    E[n][j] counts the reduced words of length n whose right child has j
+    letters; a letter has no right child.  A product ``(u v)`` with ``u`` in
+    W_{n-j} and ``v`` in W_j is reduced unless ``v`` is ``u``
+    ([2j = n]·W_j pairs) or ``u``'s right child (E[n-j][j] pairs).
+    """
+    w = [0] * (max_len + 1)
+    e = [[0] * (max_len + 1) for _ in range(max_len + 1)]
+    if max_len:
+        w[1] = n_letters
+    for n in range(2, max_len + 1):
+        for j in range(1, n):
+            e[n][j] = w[n - j] * w[j] - (w[j] if 2 * j == n else 0) - e[n - j][j]
+        w[n] = sum(e[n])
+    return w[1:]
+
+
+# ---------------------------------------------------------------------------
 # a finite Bol loop of exponent two: an oracle for ``mul`` that never calls it
 
 

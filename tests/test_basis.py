@@ -35,6 +35,8 @@ from helpers import (
     ABC,
     all_words_up_to,
     candidate_brute,
+    carrier_level_sizes,
+    reduced_level_sizes,
     transpose_family,
     word_strategy,
 )
@@ -46,6 +48,10 @@ EXAMPLE_D5 = {
 }
 
 EXAMPLE_R5 = {"a", "b", "ba", "((ba)b)a", "(b(ba))a", "((a(ba))b)a", "((b(ba))b)a"}
+
+# |B_n| and |C_n| on ab for n = 1, ..., 13.
+AB_BASIS_SIZES = [2, 1, 0, 2, 2, 7, 18, 49, 128, 355, 990, 2792, 7920]
+AB_CARRIER_SIZES = [2, 2, 4, 7, 14, 34, 86, 222, 594, 1627, 4520, 12715, 36142]
 
 
 class TestCandidates:
@@ -225,6 +231,60 @@ class TestOrder:
             assert words == sorted(words, key=word_key), name
 
 
+class TestGenerated:
+    """The generated carrier and basis against the filter of every reduced
+    word and the basis fixpoint, compared as lists: the same words in the
+    same order."""
+
+    BOUNDS = (
+        [("ab", n) for n in range(11)]
+        + [("abc", n) for n in range(8)]
+        + [("abcd", n) for n in range(6)]
+        + [("a", n) for n in range(5)]
+    )
+
+    @pytest.mark.parametrize("letters,max_len", BOUNDS)
+    def test_carrier_equals_the_filtered_scan(self, letters, max_len):
+        alphabet = Alphabet(letters)
+        assert enumerate_loop_words(alphabet, max_len) == [
+            IDENTITY, *enumerate_filtered(alphabet, max_len, in_loop)
+        ]
+
+    @pytest.mark.parametrize("letters,max_len", BOUNDS)
+    def test_basis_equals_the_sorted_fixpoint(self, letters, max_len):
+        alphabet = Alphabet(letters)
+        assert enumerate_basis(alphabet, max_len) == sorted(
+            basis_by_fixpoint(alphabet, max_len), key=word_key
+        )
+
+
+class TestCounts:
+    """Level sizes from the counting recurrences of ``helpers``, which list
+    no word."""
+
+    @staticmethod
+    def generated_sizes(alphabet, max_len):
+        # The generator yields C_1, B_1, C_2, B_2, ...
+        sizes = [len(level) for level in basis._levels(alphabet, max_len)]
+        return sizes[1::2], sizes[0::2]
+
+    @pytest.mark.parametrize("letters,max_len", [("ab", 13), ("abc", 8)])
+    def test_carrier_recurrence_matches_the_generated_levels(self, letters, max_len):
+        basis_sizes, carrier_sizes = self.generated_sizes(Alphabet(letters), max_len)
+        assert carrier_level_sizes(basis_sizes) == carrier_sizes
+
+    def test_frozen_ab_sizes(self, ab):
+        assert self.generated_sizes(ab, 13) == (AB_BASIS_SIZES, AB_CARRIER_SIZES)
+        assert carrier_level_sizes(AB_BASIS_SIZES) == AB_CARRIER_SIZES
+
+    @pytest.mark.parametrize("letters,max_len", [("ab", 9), ("abc", 6)])
+    def test_reduced_recurrence_matches_the_levels(self, letters, max_len):
+        alphabet = Alphabet(letters)
+        assert reduced_level_sizes(len(alphabet), max_len) == [
+            len(enumerate_reduced(alphabet, n)) for n in range(1, max_len + 1)
+        ]
+
+
 class TestCaching:
     def test_shared_cache_has_no_candidate_table(self):
         assert not hasattr(SHARED_CACHE, "candidate")
@@ -237,16 +297,16 @@ class TestCaching:
         assert not fresh_cache.basis
 
     def test_only_words_ending_in_a_letter_are_memoized(self, ab, fresh_cache):
-        # The basis is listed from one-letter extensions of the carrier, so
-        # only those and the spine factors that the carrier scan meets are
-        # memoized: 398 entries, where filtering every reduced word of
-        # length <= 8 memoized all 5,342 that end in a letter.
+        # The carrier and the basis are generated, and only the one-letter
+        # extensions of the carrier, tried for the basis, are tested for
+        # membership: 210 entries, where filtering every reduced word of
+        # length <= 8 would memoize all 5,342 that end in a letter.
         enumerate_basis(ab, 8)
         members = basis_by_fixpoint(ab, 8)
         memo = fresh_cache.basis
         assert all(w.reduced and w.right.size == 1 for w in memo)
         assert all(memo[w] == (w in members) for w in memo)
-        assert len(memo) == 398
+        assert len(memo) == 210
         assert sum(memo.values()) == len(members) - 2  # the letters are not stored
 
     @pytest.mark.parametrize("letters,max_len", [("ab", 7), ("abc", 5)])

@@ -487,6 +487,21 @@ class TestExitCodes:
         assert proc.stderr == "error: wall-clock budget exhausted\n"
         assert elapsed < 1.0
 
+    def test_budget_stops_the_carrier_generator(self):
+        # The carrier of ab to 40 letters is far too large to list; the
+        # generated levels grow about threefold per letter, so the budget
+        # must stop the build of a level.
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "bol2", "enum", "B", "--max-len", "40",
+             "--budget", "300"],
+            capture_output=True, text=True, timeout=60,
+        )
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr == "error: wall-clock budget exhausted\n"
+        assert elapsed < 1.0
+
     def test_internal_invariant_failure_is_6(self, capsys, monkeypatch):
         def broken(x, y):
             raise InternalInvariantError("form does not denote its element")
