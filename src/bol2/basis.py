@@ -18,18 +18,18 @@ Whether the word is reduced and whether its last spine factor (its right
 child) is a letter are two field reads.  So the candidate test keeps no
 table, and only the words that pass those reads are memoized for basis
 membership.  Membership does not depend on the alphabet — only letter ranks
-matter — so that table, and the canonical-form table of :mod:`.loop`, live
-in one process-wide owner, :data:`SHARED_CACHE`.
+matter — so that table, the canonical-form table of :mod:`.loop` and the
+cache of complete length levels of reduced words all live in one
+process-wide owner, :data:`SHARED_CACHE`.
 
 The carrier and the basis are generated level by level, not filtered: a
 carrier element longer than a letter is a carrier element times a basis
-word, and a basis word longer than a letter is a carrier element times a
-letter, so each level is built from shorter levels of the two (see
-:func:`_levels`), and only the one-letter extensions are tested for
-membership.  This module also owns the cache of complete length levels of
-reduced words, which :func:`enumerate_filtered` scans for the listings
-that need every reduced word (all of them, and the candidates), for
-:func:`basis_by_fixpoint` and for :func:`~bol2.loop.ldiv`'s search.  Every
+word, and a basis word longer than a letter is a candidate that is a
+carrier element times a letter, so each level is built from shorter levels
+of the two (see :func:`_levels`), and listing them writes no memo table.  The
+cached levels of reduced words serve :func:`enumerate_filtered`, the scan
+behind the listings of all reduced words and of the candidates,
+:func:`basis_by_fixpoint` and :func:`~bol2.loop.ldiv`'s search.  Every
 level, generated or cached, is built in the word order of
 :func:`~bol2.words.compare` from ordered levels below it, so no listing
 sorts.  No function here takes a time limit: the command line's
@@ -74,12 +74,14 @@ __all__ = [
 ]
 
 
-SHARED_CACHE = SimpleNamespace(basis={}, forms={})
-"""The one owner of the memo tables keyed by word: ``basis`` (membership
-flags of the words that pass the O(1) shape test of :func:`is_candidate`)
-and ``forms`` (canonical forms of :mod:`.loop`).  Code reads each table
-through this object on every call, never through an alias, so a table may
-be replaced at run time."""
+SHARED_CACHE = SimpleNamespace(basis={}, forms={}, levels={})
+"""The one owner of the memo tables: ``basis`` (membership flags of the
+words that pass the O(1) shape test of :func:`is_candidate`), ``forms``
+(canonical forms of :mod:`.loop`) and ``levels`` (complete levels of reduced
+words, keyed by number of letters and size, each stored in one assignment
+once built, so a build interrupted part way through stores nothing).  Code
+reads each table through this object on every call, never through an alias,
+so a table may be replaced at run time."""
 
 
 def is_candidate(word: Word) -> bool:
@@ -142,23 +144,17 @@ def why_not_in_loop(word: Word, alphabet: Alphabet) -> str | None:
     return None
 
 
-_reduced_words: dict[tuple[int, int], tuple[Word, ...]] = {}
-"""Complete levels of reduced words, keyed by (number of letters, size).
-A level is stored in one assignment once built, so a build interrupted part
-way through stores nothing."""
-
-
 def _level(n_letters: int, size: int) -> tuple[Word, ...]:
     """The reduced words of one size, cached once built to the end."""
     try:
-        return _reduced_words[n_letters, size]
+        return SHARED_CACHE.levels[n_letters, size]
     except KeyError:
         pass
     # ``_products`` returns a list: a tuple grown from a generator goes back
     # to the youngest garbage-collector generation at each resize and is
     # scanned again, which costs about a tenth of the build.
     level = tuple(_products(n_letters, size))
-    _reduced_words[n_letters, size] = level
+    SHARED_CACHE.levels[n_letters, size] = level
     return level
 
 
@@ -236,9 +232,11 @@ def _levels(alphabet: Alphabet, max_len: int) -> Iterator[list[Word]]:
     product ``c`` of the others is a carrier element of length n − j.  So
     C_n is every reduced such product, built block by block, j ascending,
     which keeps the word order.  A longer basis word ends in a letter (a
-    candidate's right child is one), so B_n is the members among the first
-    block, the products ``(c l)`` with ``c`` in C_{n−1} and a letter ``l``.
-    The levels live only as long as the generator.
+    candidate's right child is one), so B_n is drawn from the first block,
+    the products ``(c l)`` with ``c`` in C_{n−1} and a letter ``l``.  Their
+    spine factors are those of ``c``, basis members since ``c`` is a carrier
+    element, and ``l``, so B_n is exactly the candidates of that block.  The
+    levels live only as long as the generator, and no table is written.
     """
     letters = list(alphabet.letters)
     carrier: list[list[Word]] = [[]]  # carrier[k] is C_k; the identity is no factor
@@ -250,7 +248,7 @@ def _levels(alphabet: Alphabet, max_len: int) -> Iterator[list[Word]]:
             level += _reduced_products(carrier[n - j], basis[j])
         carrier.append(level)
         yield level
-        basis.append([w for w in level[:ends_in_letter] if in_basis(w)])
+        basis.append([w for w in level[:ends_in_letter] if is_candidate(w)])
         yield basis[n]
 
 

@@ -123,11 +123,9 @@ def symmetric_form(element: Word) -> PalindromicForm:
         return SHARED_CACHE.forms[element]
     except KeyError:
         pass
-    # One spine walk serves the membership test, the wrap and both transposes.
-    factors = spine_factors(element)
-    if not (element.reduced and all(in_basis(f) for f in factors)):
+    if not in_loop(element):
         raise ValueError(f"not a carrier element: {element!r}")
-    wrap, core = _wrap_and_core(element, factors)
+    wrap, core = _wrap_and_core(element, spine_factors(element))
     # Conjugate the core by the wrap; the free reduction of an odd
     # palindrome is one, so its first half is the form.
     sequence = free_reduce(free_reduce(wrap, core), wrap[::-1])

@@ -49,9 +49,11 @@ EXAMPLE_D5 = {
 
 EXAMPLE_R5 = {"a", "b", "ba", "((ba)b)a", "(b(ba))a", "((a(ba))b)a", "((b(ba))b)a"}
 
-# |B_n| and |C_n| on ab for n = 1, ..., 13.
+# |B_n| and |C_n| on ab for n = 1, ..., 13, and on abc for n = 1, ..., 9.
 AB_BASIS_SIZES = [2, 1, 0, 2, 2, 7, 18, 49, 128, 355, 990, 2792, 7920]
 AB_CARRIER_SIZES = [2, 2, 4, 7, 14, 34, 86, 222, 594, 1627, 4520, 12715, 36142]
+ABC_BASIS_SIZES = [3, 3, 3, 21, 72, 330, 1497, 7071, 33960]
+ABC_CARRIER_SIZES = [3, 6, 21, 75, 309, 1365, 6294, 29871, 145068]
 
 
 class TestCandidates:
@@ -201,12 +203,12 @@ class TestLevels:
         monkeypatch.setattr(basis, "new_product", stop_at_the_51st)
         with pytest.raises(BudgetExceeded):
             enumerate_filtered(alphabet, 3, bool)
-        assert (len(alphabet), 2) in basis._reduced_words
-        assert key not in basis._reduced_words
+        assert (len(alphabet), 2) in SHARED_CACHE.levels
+        assert key not in SHARED_CACHE.levels
         monkeypatch.undo()
         words = enumerate_filtered(alphabet, 3, bool)
-        assert basis._reduced_words[key] == enumerate_reduced(alphabet, 3)
-        assert len(words) == 6 + 30 + len(basis._reduced_words[key])
+        assert SHARED_CACHE.levels[key] == enumerate_reduced(alphabet, 3)
+        assert len(words) == 6 + 30 + len(SHARED_CACHE.levels[key])
 
 
 class TestOrder:
@@ -277,6 +279,10 @@ class TestCounts:
         assert self.generated_sizes(ab, 13) == (AB_BASIS_SIZES, AB_CARRIER_SIZES)
         assert carrier_level_sizes(AB_BASIS_SIZES) == AB_CARRIER_SIZES
 
+    def test_frozen_abc_sizes(self, abc):
+        assert self.generated_sizes(abc, 9) == (ABC_BASIS_SIZES, ABC_CARRIER_SIZES)
+        assert carrier_level_sizes(ABC_BASIS_SIZES) == ABC_CARRIER_SIZES
+
     @pytest.mark.parametrize("letters,max_len", [("ab", 9), ("abc", 6)])
     def test_reduced_recurrence_matches_the_levels(self, letters, max_len):
         alphabet = Alphabet(letters)
@@ -288,7 +294,7 @@ class TestCounts:
 class TestCaching:
     def test_shared_cache_has_no_candidate_table(self):
         assert not hasattr(SHARED_CACHE, "candidate")
-        assert set(vars(SHARED_CACHE)) == {"basis", "forms"}
+        assert set(vars(SHARED_CACHE)) == {"basis", "forms", "levels"}
 
     def test_shape_test_leaves_no_entry(self, ab, fresh_cache):
         w = parse("a(ab)", ab)  # reduced, but its right child is no letter
@@ -296,18 +302,24 @@ class TestCaching:
         assert not is_candidate(w)
         assert not fresh_cache.basis
 
+    @pytest.mark.parametrize("letters,max_len", [("ab", 8), ("abc", 6)])
+    def test_generated_listings_write_no_table(self, letters, max_len, fresh_cache):
+        # The one-letter extensions of the carrier are tried for the basis
+        # by the candidate test alone, which keeps no table.
+        alphabet = Alphabet(letters)
+        enumerate_basis(alphabet, max_len)
+        enumerate_loop_words(alphabet, max_len)
+        assert not any(vars(fresh_cache).values())
+
     def test_only_words_ending_in_a_letter_are_memoized(self, ab, fresh_cache):
-        # The carrier and the basis are generated, and only the one-letter
-        # extensions of the carrier, tried for the basis, are tested for
-        # membership: 210 entries, where filtering every reduced word of
-        # length <= 8 would memoize all 5,342 that end in a letter.
-        enumerate_basis(ab, 8)
+        # Filtering every reduced word of length <= 8 for the carrier tests
+        # each spine factor, and memoizes only those that end in a letter.
+        enumerate_filtered(ab, 8, in_loop)
         members = basis_by_fixpoint(ab, 8)
         memo = fresh_cache.basis
+        assert memo
         assert all(w.reduced and w.right.size == 1 for w in memo)
         assert all(memo[w] == (w in members) for w in memo)
-        assert len(memo) == 210
-        assert sum(memo.values()) == len(members) - 2  # the letters are not stored
 
     @pytest.mark.parametrize("letters,max_len", [("ab", 7), ("abc", 5)])
     def test_cold_membership_matches_fixpoint(self, letters, max_len, fresh_cache):
