@@ -5,7 +5,9 @@ For each length n up to --max-len, print the number of arbitrary words,
 reduced words, candidate words (cumulative), basis words (cumulative) and
 carrier elements (cumulative) over the chosen alphabet.  Arbitrary words are
 counted by formula, Catalan(n-1) * k**n for k letters; the other columns
-come from the enumerators.
+come from the two level generators of ``bol2.basis``, each read once: the
+reduced words with their candidates, and the carrier with the basis.  The
+``sec`` column is the time to build the row's levels.
 
 Example:
 
@@ -17,13 +19,8 @@ import math
 import sys
 import time
 
-from bol2 import (
-    Alphabet,
-    enumerate_basis,
-    enumerate_candidates,
-    enumerate_loop_words,
-    enumerate_reduced,
-)
+from bol2 import Alphabet, is_candidate
+from bol2.basis import _levels, _reduced_levels
 
 
 def plain_word_count(n_letters: int, size: int) -> int:
@@ -42,18 +39,18 @@ def main(argv=None) -> int:
     header = f"{'n':>3} {'P_n':>10} {'W_n':>10} {'D<=n':>8} {'R<=n':>8} {'B<=n':>8} {'sec':>7}"
     print(header)
     print("-" * len(header))
+    reduced = _reduced_levels(alphabet, args.max_len)
+    generated = _levels(alphabet, args.max_len)  # C_1, B_1, C_2, B_2, ...
+    candidates, basis_words, carrier = 0, 0, 1  # the identity is in the carrier
     for n in range(1, args.max_len + 1):
         t0 = time.perf_counter()
-        row = (
-            plain_word_count(len(alphabet), n),
-            len(enumerate_reduced(alphabet, n)),
-            len(enumerate_candidates(alphabet, n)),
-            len(enumerate_basis(alphabet, n)),
-            len(enumerate_loop_words(alphabet, n)),
-        )
+        level = next(reduced)
+        candidates += sum(map(is_candidate, level))
+        carrier += len(next(generated))
+        basis_words += len(next(generated))
         dt = time.perf_counter() - t0
-        print(f"{n:>3} {row[0]:>10} {row[1]:>10} {row[2]:>8} {row[3]:>8} "
-              f"{row[4]:>8} {dt:>7.2f}")
+        print(f"{n:>3} {plain_word_count(len(alphabet), n):>10} {len(level):>10} "
+              f"{candidates:>8} {basis_words:>8} {carrier:>8} {dt:>7.2f}")
     return 0
 
 

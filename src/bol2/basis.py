@@ -18,24 +18,24 @@ Whether the word is reduced and whether its last spine factor (its right
 child) is a letter are two field reads.  So the candidate test keeps no
 table, and only the words that pass those reads are memoized for basis
 membership.  Membership does not depend on the alphabet — only letter ranks
-matter — so that table, the canonical-form table of :mod:`.loop` and the
-cache of complete length levels of reduced words all live in one
-process-wide owner, :data:`SHARED_CACHE`.
+matter — so that table and the canonical-form table of :mod:`.loop` live in
+one process-wide owner, :data:`SHARED_CACHE`.
 
-The carrier and the basis are generated level by level, not filtered: a
-carrier element longer than a letter is a carrier element times a basis
-word, and a basis word longer than a letter is a candidate that is a
-carrier element times a letter, so each level is built from shorter levels
-of the two (see :func:`_levels`), and listing them writes no memo table.  The
-cached levels of reduced words serve :func:`enumerate_filtered`, the scan
-behind the listings of all reduced words and of the candidates,
-:func:`basis_by_fixpoint` and :func:`~bol2.loop.ldiv`'s search.  Every
-level, generated or cached, is built in the word order of
-:func:`~bol2.words.compare` from ordered levels below it, so no listing
-sorts.  No function here takes a time limit: the command line's
+Every listing here is generated level by level, and its levels live only as
+long as its generator.  A reduced word longer than a letter is a reduced
+product of two shorter ones (see :func:`_reduced_levels`): those levels
+serve :func:`enumerate_filtered`, the scan behind the listings of all
+reduced words and of the candidates, :func:`basis_by_fixpoint` and
+:func:`~bol2.loop.ldiv`'s search.  The carrier and the basis are generated,
+not filtered: a carrier element longer than a letter is a carrier element
+times a basis word, and a basis word longer than a letter is a candidate
+that is a carrier element times a letter, so each level is built from
+shorter levels of the two (see :func:`_levels`).  Both generators take their
+products from :func:`_reduced_products`, and every level is built in the
+word order of :func:`~bol2.words.compare` from ordered levels below it, so
+no listing sorts.  No function here takes a time limit: the command line's
 ``--budget`` interrupts whatever is running (see :mod:`.cli`), and every
-table here stores only finished values; the generated levels are in no
-table.
+table here stores only finished values.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .normalize import is_reduced, normal_form, normal_form_chain
 from .words import (
     IDENTITY,
     Alphabet,
-    Letter,
     Product,
     Word,
     clip,
@@ -74,14 +73,12 @@ __all__ = [
 ]
 
 
-SHARED_CACHE = SimpleNamespace(basis={}, forms={}, levels={})
+SHARED_CACHE = SimpleNamespace(basis={}, forms={})
 """The one owner of the memo tables: ``basis`` (membership flags of the
-words that pass the O(1) shape test of :func:`is_candidate`), ``forms``
-(canonical forms of :mod:`.loop`) and ``levels`` (complete levels of reduced
-words, keyed by number of letters and size, each stored in one assignment
-once built, so a build interrupted part way through stores nothing).  Code
-reads each table through this object on every call, never through an alias,
-so a table may be replaced at run time."""
+words that pass the O(1) shape test of :func:`is_candidate`) and ``forms``
+(canonical forms of :mod:`.loop`), each entry stored in one assignment once
+computed.  Code reads each table through this object on every call, never
+through an alias, so a table may be replaced at run time."""
 
 
 def is_candidate(word: Word) -> bool:
@@ -144,34 +141,6 @@ def why_not_in_loop(word: Word, alphabet: Alphabet) -> str | None:
     return None
 
 
-def _level(n_letters: int, size: int) -> tuple[Word, ...]:
-    """The reduced words of one size, cached once built to the end."""
-    try:
-        return SHARED_CACHE.levels[n_letters, size]
-    except KeyError:
-        pass
-    # ``_products`` returns a list: a tuple grown from a generator goes back
-    # to the youngest garbage-collector generation at each resize and is
-    # scanned again, which costs about a tenth of the build.
-    level = tuple(_products(n_letters, size))
-    SHARED_CACHE.levels[n_letters, size] = level
-    return level
-
-
-def _products(n_letters: int, size: int) -> list[Word]:
-    # Letters are the level of size 1; a longer word is a reduced product of
-    # two shorter ones.  The right factor's size ascends, so a level built
-    # from ordered levels is ordered.
-    if size == 1:
-        return list(map(Letter, range(n_letters)))
-    out: list[Word] = []
-    for right_size in range(1, size):
-        out += _reduced_products(
-            _level(n_letters, size - right_size), _level(n_letters, right_size)
-        )
-    return out
-
-
 def _reduced_products(lefts: Sequence[Word], rights: Sequence[Word]) -> list[Word]:
     """The products ``(left right)`` of reduced words that are reduced: every
     pair but those where ``right`` is ``left`` or ``left``'s right child, the
@@ -191,29 +160,42 @@ def _reduced_products(lefts: Sequence[Word], rights: Sequence[Word]) -> list[Wor
     return out
 
 
-def enumerate_reduced(alphabet: Alphabet, size: int) -> tuple[Word, ...]:
-    """All reduced words of exactly ``size`` letters in the word order, built
-    bottom-up in that order with the two square collapses pruned at the root
-    of each product."""
+def _reduced_levels(alphabet: Alphabet, max_len: int) -> Iterator[list[Word]]:
+    """The reduced-word levels W_1, …, W_max_len, each in the word order and
+    each built only when the caller asks for it.
+
+    W_1 is the letters, and W_n is every reduced product of a word of W_{n−j}
+    and one of W_j, built block by block, j ascending, which keeps the word
+    order.  The levels live only as long as the generator, like those of
+    :func:`_levels`, and no table is written."""
+    levels: list[list[Word]] = [[]]  # levels[k] is W_k
+    for n in range(1, max_len + 1):
+        level = list(alphabet.letters) if n == 1 else []
+        for j in range(1, n):
+            level += _reduced_products(levels[n - j], levels[j])
+        levels.append(level)
+        yield level
+
+
+def enumerate_reduced(alphabet: Alphabet, size: int) -> list[Word]:
+    """All reduced words of exactly ``size`` letters in the word order: the
+    top level of :func:`_reduced_levels`."""
     if size < 1:
         raise ValueError("word size must be at least 1")
-    return _level(len(alphabet), size)
+    *_, level = _reduced_levels(alphabet, size)
+    return level
 
 
 def enumerate_filtered(
     alphabet: Alphabet, max_len: int, keep: Callable[[Word], bool]
 ) -> list[Word]:
     """Reduced words of length at most ``max_len`` that satisfy ``keep``, in
-    the word order: shorter first, and each level is built in that order.
+    the word order: the levels of :func:`_reduced_levels`, shortest first.
 
     This scans every reduced word up to ``max_len`` (about 2.5 million on
     ``ab`` to 11), so the carrier and the basis are generated instead; the
-    scan serves the listings of all reduced words and of the candidates,
-    and :func:`~bol2.loop.ldiv`'s search."""
-    n_letters = len(alphabet)
-    scanned = itertools.chain.from_iterable(
-        _level(n_letters, n) for n in range(1, max_len + 1)
-    )
+    scan serves the listings of all reduced words and of the candidates."""
+    scanned = itertools.chain.from_iterable(_reduced_levels(alphabet, max_len))
     return [w for w in scanned if keep(w)]
 
 
@@ -280,8 +262,7 @@ def basis_by_fixpoint(alphabet: Alphabet, max_len: int) -> frozenset[Word]:
     if max_len < 1:
         return frozenset()
     members: set[Word] = set(alphabet.letters)
-    for n in range(2, max_len + 1):
-        for w in enumerate_reduced(alphabet, n):
-            if is_candidate(w) and all(f in members for f in spine_factors(w)):
-                members.add(w)
+    for w in itertools.chain.from_iterable(_reduced_levels(alphabet, max_len)):
+        if is_candidate(w) and all(f in members for f in spine_factors(w)):
+            members.add(w)
     return frozenset(members)

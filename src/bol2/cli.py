@@ -9,10 +9,9 @@ printed, and the previous handler is back before :func:`main` returns; the
 library takes no time limit.  An interrupt may land between any two
 bytecodes, so each memo store writes a finished value in one assignment:
 the intern tables and every table of ``SHARED_CACHE``.  So an interrupted
-command leaves no wrong entry, and a length level interrupted while it is
-built is never stored.  The console script enters through :func:`run`,
-which flushes the output and ends the process without freeing the intern
-table.
+command leaves no wrong entry.  The console script enters through
+:func:`run`, which flushes the output and ends the process without freeing
+the intern table.
 
 Exit codes: 0 success (checks passed), 1 a check reported failures,
 2 malformed input or usage, 3 an operand is not a loop element (with a

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .basis import SHARED_CACHE, enumerate_filtered, in_basis, in_loop
+from .basis import SHARED_CACHE, _reduced_levels, in_basis, in_loop
 from .normalize import InternalInvariantError, normal_form_chain
 from .words import (
     IDENTITY,
@@ -223,15 +223,17 @@ def ldiv(
     module docstring); the search returns ``None`` exactly when it is longer
     than the bound.  On the command line, ``--budget`` stops a long search.
 
-    The search scans the carrier as :func:`~bol2.basis.enumerate_filtered`
-    lists it, by filtering the cached length levels of reduced words, and
-    not as :func:`~bol2.basis.enumerate_loop_words` generates it.  Both give
-    the same elements in the same order, so the answer does not depend on
-    the choice; the filter keeps the search's cost where it was.  A cheaper
-    search fits more benchmark repetitions into a run, and the benchmark's
-    peak-memory reading still includes its harness, so it would read as a
-    memory regression.  The closed form is to replace the search instead
-    (ROADMAP)."""
+    The search reads the levels of reduced words one at a time, as
+    :func:`~bol2.basis._reduced_levels` builds them, filters each whole
+    level to the carrier, and returns after the first level that holds the
+    quotient; the identity is no candidate, since ``a is b`` is answered
+    first.  So it meets the carrier elements in the order of
+    :func:`~bol2.basis.enumerate_loop_words`, keeps no level after it
+    returns, and costs the reduced words up to the quotient's length.  A
+    level is filtered whole, not scanned lazily: the lazy scan is faster,
+    but more benchmark repetitions fit into a run, and the peak-memory
+    reading, which includes the harness, rises.  The closed form is to
+    replace the search (ROADMAP)."""
     if a.size == 0:
         return b
     if b.size == 0:
@@ -239,7 +241,8 @@ def ldiv(
     if a is b:
         return IDENTITY
     bound = max_len if max_len is not None else a.size + b.size + 2
-    for x in [IDENTITY] + enumerate_filtered(alphabet, bound, in_loop):
-        if mul(a, x) is b:
-            return x
+    for level in _reduced_levels(alphabet, bound):
+        for x in [w for w in level if in_loop(w)]:
+            if mul(a, x) is b:
+                return x
     return None

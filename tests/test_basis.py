@@ -1,7 +1,5 @@
 """Candidate words, the basis fixpoint, and the loop carrier."""
 
-import itertools
-
 import pytest
 from hypothesis import given
 
@@ -21,13 +19,13 @@ from bol2 import (
     is_candidate,
     is_reduced,
     is_symmetric,
+    ldiv,
     parse,
     render,
     spine_factors,
     transpose,
     why_not_in_loop,
 )
-from bol2 import BudgetExceeded
 from bol2.basis import enumerate_filtered
 from bol2.words import word_key
 
@@ -182,35 +180,6 @@ class TestDiagnostics:
             assert (why_not_in_loop(w, ab) is None) == in_loop(w), render(w, ab)
 
 
-class TestLevels:
-    def test_a_level_stopped_part_way_is_not_cached(self, monkeypatch):
-        alphabet = Alphabet("pqrstu")  # its levels are built by no other test
-        key = (len(alphabet), 3)
-        made = itertools.count()
-        build = basis.new_product
-
-        def stop_at_the_51st(left, right):
-            if next(made) == 50:
-                raise BudgetExceeded("wall-clock budget exhausted")
-            return build(left, right)
-
-        # The level build calls new_product for each word not yet interned.
-        # In a fresh process the 30 words of length 2 come first, then the
-        # first 20 of length 3 in the word order, all of shape (x p) with x
-        # of length 2.  Words over pqrs share their letters' ranks with abcd,
-        # so another test may have interned some of them; that only moves
-        # the cut further into length 3, where 246 words have a letter t or u.
-        monkeypatch.setattr(basis, "new_product", stop_at_the_51st)
-        with pytest.raises(BudgetExceeded):
-            enumerate_filtered(alphabet, 3, bool)
-        assert (len(alphabet), 2) in SHARED_CACHE.levels
-        assert key not in SHARED_CACHE.levels
-        monkeypatch.undo()
-        words = enumerate_filtered(alphabet, 3, bool)
-        assert SHARED_CACHE.levels[key] == enumerate_reduced(alphabet, 3)
-        assert len(words) == 6 + 30 + len(SHARED_CACHE.levels[key])
-
-
 class TestOrder:
     """No enumerator sorts: each level is built in the word order, and a
     listing filters the levels shortest first."""
@@ -294,7 +263,7 @@ class TestCounts:
 class TestCaching:
     def test_shared_cache_has_no_candidate_table(self):
         assert not hasattr(SHARED_CACHE, "candidate")
-        assert set(vars(SHARED_CACHE)) == {"basis", "forms", "levels"}
+        assert set(vars(SHARED_CACHE)) == {"basis", "forms"}
 
     def test_shape_test_leaves_no_entry(self, ab, fresh_cache):
         w = parse("a(ab)", ab)  # reduced, but its right child is no letter
@@ -309,6 +278,20 @@ class TestCaching:
         alphabet = Alphabet(letters)
         enumerate_basis(alphabet, max_len)
         enumerate_loop_words(alphabet, max_len)
+        assert not any(vars(fresh_cache).values())
+        # The search of ldiv memoizes memberships and forms, and no level.
+        a, b = alphabet.letters[:2]
+        assert ldiv(a, b, alphabet) is parse("(a(ba))a", alphabet)
+        assert set(vars(fresh_cache)) == {"basis", "forms"}
+
+    @pytest.mark.parametrize("letters,max_len", [("ab", 8), ("abc", 6)])
+    def test_reduced_listings_write_no_table(self, letters, max_len, fresh_cache):
+        # The levels of reduced words live only as long as their generator,
+        # and the candidate test keeps no table.
+        alphabet = Alphabet(letters)
+        enumerate_filtered(alphabet, max_len, bool)
+        enumerate_candidates(alphabet, max_len)
+        enumerate_reduced(alphabet, max_len)
         assert not any(vars(fresh_cache).values())
 
     def test_only_words_ending_in_a_letter_are_memoized(self, ab, fresh_cache):

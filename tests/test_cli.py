@@ -156,6 +156,21 @@ class TestLoopOps:
         code, out, _ = run(capsys, "ldiv", "b", "(ab)a", "--bound", "10")
         assert code == 0 and out == "(((((ab)a)(((ba)b)a))a)b)a\n"
 
+    @pytest.mark.parametrize(
+        "operands,quotient",
+        [
+            (["(b(ba))a", "((((b(ba))a)b)a)b"], "(ba)b"),
+            (["(b(ba))a", "((((((b(ba))a)b)a)(ba))a)b"], "ab"),
+            (["a", "b", "--bound", "1000000"], "(a(ba))a"),
+        ],
+    )
+    def test_ldiv_stops_at_the_quotient_length(self, capsys, operands, quotient):
+        # The bounds are 16, 20 and a million letters, far beyond any
+        # listing; the search builds the reduced words only up to the
+        # quotient's length, so it ends well within the budget.
+        code, out, _ = run(capsys, "ldiv", *operands, "--budget", "5000")
+        assert (code, out) == (0, quotient + "\n")
+
 
 class TestEnum:
     def test_basis_golden(self, capsys):
@@ -304,7 +319,7 @@ class TestExitCodes:
         assert err == "error: wall-clock budget exhausted\n"
 
     def test_ldiv_budget_exhaustion_is_4(self, capsys):
-        # Without the budget this search lists the carrier up to length 14.
+        # A zero budget is spent before the search starts.
         code, out, err = run(
             capsys, "ldiv", "(b(ba))a", "((((b(ba))a)b)a)b", "--budget", "0"
         )
