@@ -40,7 +40,7 @@ from .basis import (
     enumerate_loop_words,
     why_not_in_loop,
 )
-from .loop import ldiv, mul, rdiv, symmetric_form
+from .loop import ldiv, mul, symmetric_form
 from .normalize import InternalInvariantError, normal_form
 from .verify import SUITES, CheckReport, SampleSpec, check_identity_suite
 from .words import (
@@ -193,15 +193,6 @@ def _cmd_canon(ns) -> int:
     return 0
 
 
-def _cmd_rdiv(ns) -> int:
-    alphabet = _alphabet(ns)
-    b = _require_loop(ns.left, alphabet)
-    a = _require_loop(ns.right, alphabet)
-    out = render(rdiv(b, a), alphabet)
-    _emit(ns, [out], out)
-    return 0
-
-
 def _cmd_ldiv(ns) -> int:
     alphabet = _alphabet(ns)
     a = _require_loop(ns.left, alphabet)
@@ -340,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--bound",
         type=_at_least(1),
         default=None,
-        help="search length bound (default: |a|+|b|+2)",
+        help="search length bound (default: |a|+|b|+2); not-found means only "
+        "that the quotient is longer than the bound",
     )
     p.set_defaults(handler=_cmd_ldiv)
 
@@ -349,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("left", metavar="b")
     p.add_argument("right", metavar="a")
-    p.set_defaults(handler=_cmd_rdiv)
+    # Every element is its own inverse, so b / a is the product b * a.
+    p.set_defaults(handler=_cmd_mul)
 
     p = sub.add_parser(
         "enum",

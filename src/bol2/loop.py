@@ -22,25 +22,26 @@ The canonical form is found by steering a word toward its transposes:
 * basis members are their own (singleton) form;
 * if the transpose is not reduced, recurse on its normal form and wrap the
   result in the reversed spine ``(as, ..., a1)`` of ``g``;
-* else if the double transpose is not reduced, recurse on its normal form
-  and wrap in ``(as, bl, ..., b1)`` where ``(b1, ..., bl)`` is the spine of
-  the last spine factor ``as``;
-* else if the two transposes differ, the one lying in the basis is the
+* else if the last spine factor ``as`` is not a letter, the transpose is a
+  carrier element of the same size whose last spine factor is ``a1``, a
+  letter: take its wrap and core by these steps, and wrap them again in
+  ``(as, ..., a1)``;
+* else if the transpose differs from ``g``, it is the basis member, the
   one-entry core (wrapped as above);
-* else the common transpose is an odd palindromic product of basis words,
-  and its unique such factorization is the core.
+* else ``g`` is an odd palindromic product of basis words, and its unique
+  such factorization is the core.
 
-Neither transpose is built as a word, and each is folded once.  Each is a
-rearrangement of the element's spine, folded through
-:func:`~bol2.normalize.normal_form_chain`: the fold gives the transpose
+The transpose is not built as a word, and each step folds it once: it is
+the reversed spine, folded through
+:func:`~bol2.normalize.normal_form_chain`, and the fold gives the transpose
 itself when it keeps the element's size, and the transpose's normal form
 when it shrinks, which is all the steps above use.  So no non-reduced
 transpose enters the intern table.  When the last spine factor is a letter,
-the double transpose is ``g`` itself and is not folded: the one fold of the
-transpose decides both whether ``g`` is a basis member (it precedes its
-transpose) and the core.  Otherwise both transposes end in a letter, and the
-one of them that precedes the other is the basis member.  A shrunk
-transpose is checked to be a carrier element once, by the recursive call.
+the double transpose is ``g`` itself, so the one fold decides both whether
+``g`` is a basis member (it precedes its transpose) and the core.  Otherwise
+the same-size transpose takes one more step, which ends in one of the
+others; a shrunk transpose is checked to be a carrier element once, by the
+recursive call of :func:`symmetric_form`.
 
 Each step gives a wrap and a core, an odd palindrome over the basis; the
 form is the core conjugated by the wrap, ``wrap + core + reversed(wrap)``,
@@ -125,7 +126,7 @@ def symmetric_form(element: Word) -> PalindromicForm:
         pass
     if not in_loop(element):
         raise ValueError(f"not a carrier element: {element!r}")
-    wrap, core = _wrap_and_core(element, spine_factors(element))
+    wrap, core = _wrap_and_core(element)
     # Conjugate the core by the wrap; the free reduction of an odd
     # palindrome is one, so its first half is the form.
     sequence = free_reduce(free_reduce(wrap, core), wrap[::-1])
@@ -141,46 +142,29 @@ def symmetric_form(element: Word) -> PalindromicForm:
     return form
 
 
-def _wrap_and_core(
-    element: Word, factors: tuple[Word, ...]
-) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
-    # The steps of the module docstring for a carrier element with spine
-    # ``factors``.  Each transpose is folded once, not built: ``t`` is the
-    # transpose when it kept the element's size, and otherwise the
-    # transpose's normal form.
-    last = factors[-1]
+def _wrap_and_core(element: Word) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
+    # The steps of the module docstring for a carrier element.  The
+    # transpose is folded once, not built: ``t`` is the transpose when it
+    # kept the element's size, and otherwise the transpose's normal form.
+    factors = spine_factors(element)
     wrap = factors[::-1]
     t = normal_form_chain(IDENTITY, wrap)
     if t.size < element.size:
         return wrap, _shrunk_sequence(t, element)
-    if last.size == 1:
-        # The double transpose is the element itself, so ``t`` decides both
-        # membership and the form.  The spine factors are basis members, so
-        # the element is one exactly when it is a letter or precedes its
-        # transpose (the test of :func:`~bol2.basis.is_candidate`).
-        if element.size == 1 or compare(element, t) < 0:
-            return (), (element,)
-        if t is element:
-            return wrap, _palindromic_sequence(t)
-        return wrap, (t,)
-    # The double transpose is the fine factorization: the spine with its
-    # last factor unfolded into its own reversed spine.
-    unfolded = spine_factors(last)[::-1]
-    tt = normal_form_chain(IDENTITY, factors[:-1] + unfolded)
-    # (as, bl, ..., b1): multiplying this prefix into the double transpose
-    # consumes its leading run b1 ... bl one step at a time, then re-attaches
-    # as.
-    unfold_wrap = (last,) + unfolded
-    if tt.size < element.size:
-        return unfold_wrap, _shrunk_sequence(tt, element)
-    if t is tt:
-        # The common transpose is symmetric: extract its palindrome.
+    if factors[-1].size > 1:
+        # ``t`` is a carrier element of the same size whose last spine factor
+        # is the element's first, a letter: conjugate its form by the wrap.
+        inner, core = _wrap_and_core(t)
+        return free_reduce(wrap, inner), core
+    # The double transpose is the element itself, so ``t`` decides both
+    # membership and the form.  The spine factors are basis members, so the
+    # element is one exactly when it is a letter or precedes its transpose
+    # (the test of :func:`~bol2.basis.is_candidate`).
+    if element.size == 1 or compare(element, t) < 0:
+        return (), (element,)
+    if t is element:
         return wrap, _palindromic_sequence(t)
-    # Each transpose ends in a letter and is the other's transpose, so the
-    # one that precedes the other is the basis member.
-    if compare(t, tt) < 0:
-        return wrap, (t,)
-    return unfold_wrap, (tt,)
+    return wrap, (t,)
 
 
 def _shrunk_sequence(reduced: Word, element: Word) -> tuple[Word, ...]:
@@ -221,7 +205,11 @@ def ldiv(
 
     The quotient always exists, is unique, and is ``(a(ba))a`` (see the
     module docstring); the search returns ``None`` exactly when it is longer
-    than the bound.  On the command line, ``--budget`` stops a long search.
+    than the bound, so ``None`` says only that.  The default bound is often
+    too short: on ``ab``, 3,314 of the 3,906 ordered pairs of distinct
+    non-identity elements of length at most 6 have a longer quotient.  On
+    the command line, ``None`` prints ``not-found``, and ``--budget`` stops
+    a long search.
 
     The search reads the levels of reduced words one at a time, as
     :func:`~bol2.basis._reduced_levels` builds them, filters each whole

@@ -5,11 +5,14 @@ import contextlib
 import gc
 import io
 import json
+import re
+import shlex
 import signal
 import subprocess
 import sys
 import time
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +60,24 @@ def without_elapsed(text):
     report = json.loads(text)
     del report["elapsed_ms"]
     return report
+
+
+def readme_examples():
+    """(argv, expected) for each line of the README's CLI block that ends in
+    ``# -> X``; a note after X, two or more spaces on, is not output."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        command, arrow, expected = line.partition("# -> ")
+        if arrow:
+            argv = shlex.split(command)
+            assert argv[0] == "bol2", line
+            examples.append((argv[1:], re.split(r"\s{2,}", expected.strip())[0]))
+    return examples
+
+
+README_EXAMPLES = readme_examples()
 
 
 class TestNormalize:
@@ -170,6 +191,16 @@ class TestLoopOps:
         # quotient's length, so it ends well within the budget.
         code, out, _ = run(capsys, "ldiv", *operands, "--budget", "5000")
         assert (code, out) == (0, quotient + "\n")
+
+
+    def test_readme_has_examples(self):
+        assert len(README_EXAMPLES) == 6
+
+    @pytest.mark.parametrize(
+        "argv,expected", README_EXAMPLES, ids=[argv[0] for argv, _ in README_EXAMPLES]
+    )
+    def test_readme_example(self, capsys, argv, expected):
+        assert run(capsys, *argv)[:2] == (0, expected + "\n")
 
 
 class TestEnum:

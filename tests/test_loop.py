@@ -6,6 +6,7 @@ enumerating *all* short sequences and asserting injectivity along the way.
 ``symmetric_form`` must reproduce that index entry for entry.
 """
 
+import collections
 import itertools
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from bol2 import (
     PalindromicForm,
     enumerate_basis,
     enumerate_loop_words,
+    fine_factors,
     in_basis,
     in_loop,
     ldiv,
@@ -28,6 +30,7 @@ from bol2 import (
     parse,
     rdiv,
     render,
+    spine_factors,
     symmetric_form,
 )
 
@@ -95,17 +98,53 @@ class TestSymmetricForm:
         ]
 
     def test_wrap_orientation_regression(self, abc):
-        # For c(ba) the unfolded wrap must descend through the spine of the
-        # last factor and climb back: (ba, a, b, ...).  The ascending variant
-        # (ba, b, a, ...) spells a palindrome that folds to a different,
-        # longer element — both palindromes are over the basis, only one
-        # denotes the input.
+        # The last spine factor of c(ba) is not a letter, so its form is the
+        # form of its transpose (ba)c conjugated by (ba, c).  The wrap that
+        # results descends through the spine of ba and climbs back:
+        # (ba, a, b, ...).  The ascending variant (ba, b, a, ...) spells a
+        # palindrome that folds to a different, longer element — both
+        # palindromes are over the basis, only one denotes the input.
         g = parse("c(ba)", abc)
         good = symmetric_form(g)
         assert normal_form_chain(IDENTITY, good.sequence) is g
         swapped = (good.half[0], good.half[2], good.half[1]) + good.half[3:]
         bad = PalindromicForm(swapped)
         assert normal_form_chain(IDENTITY, bad.sequence) is not g
+
+    @pytest.mark.parametrize(
+        "letters, max_len, reached",
+        [
+            ("ab", 9, {"tt shrinks": 18, "t is tt": 27, "t": 150, "tt": 57}),
+            ("abc", 6, {"tt shrinks": 12, "t is tt": 30, "t": 353, "tt": 163}),
+        ],
+    )
+    def test_same_size_transpose_of_a_composite_last_factor(
+        self, letters, max_len, reached
+    ):
+        # When the last spine factor is not a letter and the transpose t keeps
+        # the size, the form is t's form conjugated by the reversed spine.
+        # The element's double transpose tt is t's transpose; each way that
+        # t's form can be found is reached (tt shrinks, t is symmetric, t or
+        # tt is the basis member).
+        alphabet = Alphabet(letters)
+        seen = collections.Counter()
+        for g in enumerate_loop_words(alphabet, max_len)[1:]:
+            spine = spine_factors(g)
+            t = normal_form_chain(IDENTITY, spine[::-1])
+            if spine[-1].size == 1 or t.size < g.size:
+                continue
+            conjugated = free_reduce(
+                free_reduce(spine[::-1], symmetric_form(t).sequence), spine
+            )
+            assert symmetric_form(g).sequence == conjugated, render(g, alphabet)
+            tt = normal_form_chain(IDENTITY, fine_factors(g))
+            if tt.size < g.size:
+                seen["tt shrinks"] += 1
+            elif t is tt:
+                seen["t is tt"] += 1
+            else:
+                seen["t" if in_basis(t) else "tt"] += 1
+        assert seen == reached
 
     def test_round_trip_on_whole_carrier(self, ab):
         for g in enumerate_loop_words(ab, 5):
