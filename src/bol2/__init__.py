@@ -49,7 +49,6 @@ from .words import (
     render,
     spine_factors,
     transpose,
-    word_key,
 )
 
 __version__ = "0.1.0"

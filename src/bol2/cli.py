@@ -413,8 +413,12 @@ def run() -> None:
 
     Both streams are flushed, and the process ends by ``os._exit`` without
     tearing down the heap: freeing a large intern table one word at a time
-    can take as long again as the command did.  In-process callers use
-    :func:`main`, which returns normally."""
+    can take as long again as the command did.  A closed output pipe ends
+    the process by ``SIGPIPE``, as it ends other filters, where the platform
+    has that signal.  In-process callers use :func:`main`, which returns
+    normally."""
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     code = main()
     sys.stdout.flush()
     sys.stderr.flush()

@@ -2,12 +2,13 @@
 
 The construction has a group-side mirror: the free product of order-two
 generators, one per basis word, acting on the carrier by right loop
-multiplication.  A *group word* there is a plain tuple of basis words with
-adjacent entries distinct; :func:`~bol2.loop.free_reduce` multiplies two.
-A basis word is its own palindromic form, so a group word acts by one
-:func:`~bol2.normalize.normal_form_chain` fold, the fold behind
-:func:`~bol2.loop.mul`.  A group word moving the identity word to ``v != 1``
-returns to the stabilizer after ``symmetric_form(v).sequence``.
+multiplication.  A *group word* there is a run of basis words, a plain tuple
+with adjacent entries distinct, and it acts by one
+:func:`~bol2.normalize.normal_form_chain` fold.  A run moving the identity
+word to ``v`` returns to the stabilizer after the palindromic word of ``v``.
+Folding a basis word twice is the identity on reduced words, so that return
+is the fold of the palindromic word into ``v``, which is ``v * v``: the
+transversal check is exponent two at the element each run denotes.
 
 :func:`check_identity_suite` is the one check runner; :data:`SUITES` names
 what it checks:
@@ -19,16 +20,19 @@ rip          right inverse property ``(x y) y = x``
 nuclei       no non-identity element associates in the middle with all
              pairs (on a one-letter alphabet the loop is the group of
              order 2, so ``a`` passes the test and the check fails)
-unique-form  distinct bounded palindromic forms denote distinct elements,
-             and each is the canonical form of its value
-transversal  every run of basis words that moves the identity returns to
-             its stabilizer after the palindromic word of its image
+unique-form  each bounded palindromic half is the canonical form of the
+             non-identity element it denotes, so distinct halves denote
+             distinct elements
+transversal  ``v v = 1`` at the element ``v`` each run of basis words
+             denotes: the run and the palindromic word of ``v`` fix the
+             identity
 ===========  ==========================================================
 
-Universes are exhaustive when small enough, otherwise a seeded sample; every
-report records what was scanned, so the checks are reproducible.  unique-form
-and transversal share one universe of runs (1 to ``max_seq`` basis words,
-adjacent entries distinct); ``nuclei`` alone refuses to sample.  A check
+Every suite but ``nuclei`` is one scan of a universe with a test.  The laws
+scan tuples of carrier elements; unique-form and transversal scan runs of 1
+to ``max_seq`` basis words.  Universes are exhaustive when small enough,
+otherwise a seeded sample; every report records what was scanned, so the
+checks are reproducible.  ``nuclei`` alone refuses to sample.  A check
 takes no time limit; the command line's ``--budget`` interrupts it.
 """
 
@@ -41,7 +45,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .basis import enumerate_basis, enumerate_loop_words
-from .loop import free_reduce, mul, symmetric_form
+from .loop import mul, symmetric_form
 from .normalize import normal_form_chain
 from .words import IDENTITY, Alphabet, Word, render
 
@@ -98,24 +102,77 @@ class CheckReport:
         }
 
 
-def _distinct_runs(pool, length):
-    """All tuples over ``pool`` of the given length with adjacent entries
-    distinct, in the lexicographic order of ``pool``."""
-    for run in itertools.product(pool, repeat=length):
-        if all(a is not b for a, b in zip(run, run[1:])):
-            yield run
+def _scan(universe, test, which, alphabet, spec) -> CheckReport:
+    """The check loop: ``test(case, alphabet)`` on each case of the universe,
+    a failure wherever it returns a message.
 
-
-def _universe(name, spec, base, unit, total, every, draw):
-    """The cases of a check and its report.  All ``total`` cases of ``every``
-    when that is within ``spec.exhaustive_limit``; otherwise
-    ``spec.sample_size`` cases, each ``draw(rng)`` from one seeded RNG."""
+    ``universe(alphabet, spec)`` gives a label, a unit, the number of cases,
+    all of them in order, and a draw of one case from an RNG.  All cases
+    are tested when they number at most ``spec.exhaustive_limit``;
+    otherwise ``spec.sample_size`` draws from one RNG seeded with
+    ``spec.seed``."""
+    base, unit, total, every, draw = universe(alphabet, spec)
     if total <= spec.exhaustive_limit:
-        return every, CheckReport(name, f"{base}, exhaustive ({total} {unit})")
-    rng = random.Random(spec.seed)
-    sample = (draw(rng) for _ in range(spec.sample_size))
-    label = f"{base}, sample of {spec.sample_size} {unit} (seed {spec.seed})"
-    return sample, CheckReport(name, label, seed=spec.seed)
+        cases = every
+        report = CheckReport(which, f"{base}, exhaustive ({total} {unit})")
+    else:
+        rng = random.Random(spec.seed)
+        cases = (draw(rng) for _ in range(spec.sample_size))
+        label = f"{base}, sample of {spec.sample_size} {unit} (seed {spec.seed})"
+        report = CheckReport(which, label, seed=spec.seed)
+    for case in cases:
+        report.cases += 1
+        failure = test(case, alphabet)
+        if failure is not None:
+            report.failures.append(failure)
+    return report
+
+
+def _carrier(law, arity, alphabet, spec):
+    """The universe of ``arity``-tuples of carrier elements of length <=
+    ``spec.max_len``."""
+    pool = enumerate_loop_words(alphabet, spec.max_len)
+    return (
+        f"{law} over the {len(pool)} carrier elements of length <= "
+        f"{spec.max_len} on {alphabet.symbols!r}",
+        "tuples",
+        len(pool) ** arity,
+        itertools.product(pool, repeat=arity),
+        lambda rng: tuple(rng.choice(pool) for _ in range(arity)),
+    )
+
+
+def _runs(what, unit, alphabet, spec):
+    """The universe of runs of 1 to ``spec.max_seq`` basis words of length <=
+    ``spec.max_len`` with adjacent entries distinct, listed by length and
+    then in the order of the basis; ``what``, formatted with
+    ``spec.max_seq``, names a run."""
+    gens = enumerate_basis(alphabet, spec.max_len)
+    n = len(gens)
+
+    def draw(rng):
+        run: tuple[Word, ...] = ()
+        # One basis word has no run of two: draw only its single run.
+        for _ in range(rng.randint(1, spec.max_seq if n > 1 else 1)):
+            g = rng.choice(gens)
+            while run and run[-1] is g:
+                g = rng.choice(gens)
+            run += (g,)
+        return run
+
+    return (
+        f"{what.format(spec.max_seq)} over the {n} basis words of length <= "
+        f"{spec.max_len} on {alphabet.symbols!r}",
+        unit,
+        sum(n * (n - 1) ** (k - 1) for k in range(1, spec.max_seq + 1)),
+        (
+            run
+            for k in range(1, spec.max_seq + 1)
+            for run in itertools.product(gens, repeat=k)
+            if all(a is not b for a, b in zip(run, run[1:]))
+        ),
+        draw,
+    )
 
 
 def _bol(x, y, z):
@@ -130,32 +187,42 @@ def _rip(x, y):
     return mul(mul(x, y), y) is x
 
 
-def _law_suite(arity, holds, law, which, alphabet, spec) -> CheckReport:
-    pool = enumerate_loop_words(alphabet, spec.max_len)
-    names = "xyz"[:arity]
-    tuples, report = _universe(
-        which,
-        spec,
-        f"{law} over the {len(pool)} carrier elements of length <= "
-        f"{spec.max_len} on {alphabet.symbols!r}",
-        "tuples",
-        len(pool) ** arity,
-        itertools.product(pool, repeat=arity),
-        lambda rng: tuple(rng.choice(pool) for _ in range(arity)),
-    )
-    for tup in tuples:
-        report.cases += 1
-        if not holds(*tup):
-            binding = " ".join(
-                f"{n}={render(w, alphabet)}" for n, w in zip(names, tup)
-            )
-            report.failures.append(f"{law} fails at {binding}")
-    return report
+def _law(law, arity, holds):
+    """The check of a law over the carrier: a failure binds x, y, z in order."""
+
+    def test(case, alphabet):
+        if holds(*case):
+            return None
+        binding = " ".join(f"{n}={render(w, alphabet)}" for n, w in zip("xyz", case))
+        return f"{law} fails at {binding}"
+
+    return partial(_scan, partial(_carrier, law, arity), test)
+
+
+def _unique_form(half, alphabet):
+    # Two halves denoting one element cannot both be its canonical half, so
+    # the round trip reports at least one of any collision.
+    value = normal_form_chain(IDENTITY, half + half[-2::-1])
+    if value.size and symmetric_form(value).half == half:
+        return None
+    text = "(" + ", ".join(render(h, alphabet) for h in half) + ")"
+    if value.size == 0:
+        return f"{text} denotes the identity"
+    return f"{text} denotes {render(value, alphabet)} but is not its canonical form"
+
+
+def _transversal(run, alphabet):
+    if _exp2(normal_form_chain(IDENTITY, run)):
+        return None
+    # Rendered only here: a label for every case cost about 5% of a check.
+    words = "*".join(render(g, alphabet) for g in run)
+    return f"{words} * its palindromic word does not stabilize the identity"
 
 
 def _nuclei_suite(which, alphabet, spec) -> CheckReport:
     """No non-identity element may satisfy ``(x a) y = x (a y)`` for *all*
-    ``x, y`` in the bounded universe.  Always exhaustive."""
+    ``x, y`` in the bounded universe.  Always exhaustive, and ``cases``
+    counts the ``(x, y)`` probes."""
     pool = enumerate_loop_words(alphabet, spec.max_len)
     total = len(pool) ** 3
     if total > spec.exhaustive_limit:
@@ -185,96 +252,21 @@ def _nuclei_suite(which, alphabet, spec) -> CheckReport:
     return report
 
 
-def _runs(which, alphabet, spec, what, unit):
-    """The run universe shared by unique-form and transversal: runs of 1 to
-    ``spec.max_seq`` basis words of length <= ``spec.max_len`` with adjacent
-    entries distinct, as :func:`_universe` cases; ``what`` names a run."""
-    gens = enumerate_basis(alphabet, spec.max_len)
-    n = len(gens)
-
-    def draw(rng):
-        run: tuple[Word, ...] = ()
-        # One basis word has no run of two: draw only its single run.
-        for _ in range(rng.randint(1, spec.max_seq if n > 1 else 1)):
-            g = rng.choice(gens)
-            while run and run[-1] is g:
-                g = rng.choice(gens)
-            run += (g,)
-        return run
-
-    return _universe(
-        which,
-        spec,
-        f"{what} over the {n} basis words of length <= {spec.max_len} on "
-        f"{alphabet.symbols!r}",
-        unit,
-        sum(n * (n - 1) ** (k - 1) for k in range(1, spec.max_seq + 1)),
-        (run for k in range(1, spec.max_seq + 1) for run in _distinct_runs(gens, k)),
-        draw,
-    )
-
-
-def _unique_form_suite(which, alphabet, spec) -> CheckReport:
-    """Distinct palindromic halves (runs of basis words) must denote distinct
-    non-identity elements, each having that half as its canonical form."""
-    what = f"palindromic halves of length <= {spec.max_seq}"
-    halves, report = _runs(which, alphabet, spec, what, "halves")
-
-    def fmt(half):
-        return "(" + ", ".join(render(h, alphabet) for h in half) + ")"
-
-    index: dict[Word, tuple[Word, ...]] = {}
-    for half in halves:
-        report.cases += 1
-        value = normal_form_chain(IDENTITY, half + half[-2::-1])
-        if value.size == 0:
-            report.failures.append(f"{fmt(half)} denotes the identity")
-        # A sampled half may repeat; only a different half is a collision.
-        elif index.setdefault(value, half) != half:
-            report.failures.append(
-                f"collision: {fmt(index[value])} and {fmt(half)} both "
-                f"denote {render(value, alphabet)}"
-            )
-        elif symmetric_form(value).half != half:
-            report.failures.append(
-                f"{fmt(half)} denotes {render(value, alphabet)} but is "
-                f"not its canonical form"
-            )
-    return report
-
-
-def _transversal_suite(which, alphabet, spec) -> CheckReport:
-    """Every run ``g`` of generators moving the identity to ``v != 1`` must
-    return to the stabilizer after the palindromic sequence ``s`` of ``v``:
-    the fold of ``free_reduce(g, s)`` into ``1`` is ``1``."""
-    what = f"group words of <= {spec.max_seq} generators"
-    runs, report = _runs(which, alphabet, spec, what, "words")
-    for run in runs:
-        report.cases += 1
-        v = normal_form_chain(IDENTITY, run)
-        if v.size == 0:
-            continue  # already in the stabilizer; nothing to decompose
-        seq = symmetric_form(v).sequence
-        if normal_form_chain(IDENTITY, seq) is not v:
-            failure = "palindromic word of {} denotes the wrong element"
-        elif normal_form_chain(IDENTITY, free_reduce(run, seq)).size != 0:
-            failure = "{} * its palindromic word does not stabilize the identity"
-        else:
-            continue
-        # Rendered only here: a label for every case cost about 5% of a check.
-        report.failures.append(
-            failure.format("*".join(render(g, alphabet) for g in run))
-        )
-    return report
-
-
 _CHECKS = {
-    "bol": partial(_law_suite, 3, _bol, "((x y) z) y = x ((y z) y)"),
-    "exp2": partial(_law_suite, 1, _exp2, "x x = 1"),
-    "rip": partial(_law_suite, 2, _rip, "(x y) y = x"),
+    "bol": _law("((x y) z) y = x ((y z) y)", 3, _bol),
+    "exp2": _law("x x = 1", 1, _exp2),
+    "rip": _law("(x y) y = x", 2, _rip),
     "nuclei": _nuclei_suite,
-    "unique-form": _unique_form_suite,
-    "transversal": _transversal_suite,
+    "unique-form": partial(
+        _scan,
+        partial(_runs, "palindromic halves of length <= {}", "halves"),
+        _unique_form,
+    ),
+    "transversal": partial(
+        _scan,
+        partial(_runs, "group words of <= {} generators", "words"),
+        _transversal,
+    ),
 }
 
 SUITES = tuple(_CHECKS)

@@ -36,7 +36,6 @@ transpose is folded through :func:`~bol2.normalize.normal_form_chain`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 from typing import Callable, Iterable, Iterator
 
 __all__ = [
@@ -57,7 +56,6 @@ __all__ = [
     "palindromic_split",
     "is_symmetric",
     "compare",
-    "word_key",
 ]
 
 
@@ -409,8 +407,3 @@ def compare(u: Word, v: Word) -> int:
             v = pending.pop()
             u = pending.pop()
 
-
-word_key = cmp_to_key(compare)
-"""Sort key for :func:`compare` (use as ``sorted(words, key=word_key)``).
-No enumerator sorts, since each lists in this order; the tests sort with it
-to check that."""

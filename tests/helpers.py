@@ -27,11 +27,17 @@ from bol2 import (
     normal_form,
     normal_form_chain,
     spine_factors,
+    symmetric_form,
     transpose,
 )
+from bol2.loop import free_reduce
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
+
+word_key = functools.cmp_to_key(compare)
+"""Sort key for :func:`~bol2.words.compare`.  No enumerator sorts, since
+each lists in this order; the tests sort with it to check that."""
 
 
 def word_strategy(alphabet: Alphabet, max_size: int = 6):
@@ -258,6 +264,17 @@ def palindrome_index(
             )
             index[value] = half
     return index
+
+
+def transversal_brute(run: tuple[Word, ...]) -> bool:
+    """The group-side transversal step: the run ``g``, moving the identity to
+    ``v``, freely multiplied by the palindromic word ``s`` of ``v``, returns
+    the identity to itself (``g s`` folds to 1); true when ``v`` is 1."""
+    v = normal_form_chain(IDENTITY, run)
+    if v.size == 0:
+        return True
+    seq = symmetric_form(v).sequence
+    return normal_form_chain(IDENTITY, free_reduce(run, seq)) is IDENTITY
 
 
 # ---------------------------------------------------------------------------

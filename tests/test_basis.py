@@ -27,7 +27,6 @@ from bol2 import (
     why_not_in_loop,
 )
 from bol2.basis import enumerate_filtered
-from bol2.words import word_key
 
 from helpers import (
     ABC,
@@ -36,6 +35,7 @@ from helpers import (
     carrier_level_sizes,
     reduced_level_sizes,
     transpose_family,
+    word_key,
     word_strategy,
 )
 

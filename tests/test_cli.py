@@ -594,6 +594,22 @@ def test_module_entry_point_runs_in_a_subprocess():
     assert proc.stdout == "ab\n"
 
 
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+def test_closed_pipe_ends_the_command_like_a_filter():
+    # About 200 KB of listing, more than a pipe holds: after the reader
+    # closes, a write meets the closed pipe and SIGPIPE ends the process,
+    # with no traceback and not the exit code of a failed check.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bol2", "enum", "B", "--max-len", "11"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (-signal.SIGPIPE, b"")
+
+
 @pytest.mark.parametrize(
     "code,argv",
     [
@@ -629,7 +645,13 @@ def test_console_entry_flushes_both_streams_before_exiting(monkeypatch):
     monkeypatch.setattr(sys, "stderr", err)
     monkeypatch.setattr(sys, "argv", ["bol2", "mul", "a", "b"])
     monkeypatch.setattr(cli.os, "_exit", lambda code: events.append(("exit", code)))
-    cli.run()
+    # run() restores the default SIGPIPE action; give this process its own back.
+    pipe_action = signal.getsignal(signal.SIGPIPE) if hasattr(signal, "SIGPIPE") else None
+    try:
+        cli.run()
+    finally:
+        if pipe_action is not None:
+            signal.signal(signal.SIGPIPE, pipe_action)
     assert (out.getvalue(), err.getvalue()) == ("ab\n", "")
     assert events == [("flush", "stdout"), ("flush", "stderr"), ("exit", 0)]
 

@@ -188,6 +188,21 @@ class TestSymmetricForm:
         assert not fresh_cache.forms
         assert symmetric_form(element).half == (element,)
 
+    def test_a_form_that_denotes_another_element_is_not_memoized(
+        self, ab, fresh_cache, monkeypatch
+    ):
+        # A well-formed palindrome over the basis, but of the wrong element:
+        # the core ``a`` planted for ``((ba)b)a`` denotes ``a``.  The
+        # denotation check is the one place such a form is caught.
+        element, a = parse("((ba)b)a", ab), parse("a", ab)
+        real = loop._wrap_and_core
+        monkeypatch.setattr(
+            loop, "_wrap_and_core", lambda e: ((), (a,)) if e is element else real(e)
+        )
+        with pytest.raises(InternalInvariantError, match="does not denote"):
+            symmetric_form(element)
+        assert not fresh_cache.forms
+
     def test_memoized_per_cache(self, ab, fresh_cache):
         w = parse("ab", ab)
         first = symmetric_form(w)

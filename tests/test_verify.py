@@ -25,7 +25,7 @@ from bol2 import verify
 from bol2.loop import free_reduce
 from bol2.verify import SUITES
 
-from helpers import distinct_runs
+from helpers import distinct_runs, transversal_brute
 
 
 def gw(ab, *texts):
@@ -181,6 +181,18 @@ class TestSuites:
         else:
             assert len(report.failures) == 6  # the 3*2 two-entry halves
 
+    def test_unique_form_reports_a_planted_collision(self, ab, monkeypatch):
+        # Every half folds to ``a``: only the half ``(a,)`` is that element's
+        # canonical form, so each other half of a collision is reported.
+        a = parse("a", ab)
+        monkeypatch.setattr(verify, "normal_form_chain", lambda head, factors: a)
+        report = check_identity_suite("unique-form", ab, SampleSpec(max_len=3, max_seq=2))
+        halves = ["(b)", "(ba)", "(a, b)", "(a, ba)", "(b, a)", "(b, ba)",
+                  "(ba, a)", "(ba, b)"]
+        assert report.failures == [
+            f"{half} denotes a but is not its canonical form" for half in halves
+        ]
+
     def test_unknown_suite_is_an_error(self, ab):
         with pytest.raises(ValueError):
             check_identity_suite("associativity", ab)
@@ -219,22 +231,26 @@ class TestTransversal:
         assert report.ok and report.cases == 40 and report.seed == 3
 
     def test_failure_messages(self, ab, monkeypatch):
-        # Break each step in turn: every one of the 9 group words then fails,
+        # A planted product that fixes its left operand: no element then
+        # squares to the identity, and every one of the 9 group words fails,
         # labelled by its generators.
-        spec = SampleSpec(max_len=3, max_seq=2)
-        monkeypatch.setattr(
-            verify, "symmetric_form", lambda v: SimpleNamespace(sequence=())
-        )
-        report = check_identity_suite("transversal", ab, spec)
-        assert report.failures[:4] == [
-            f"palindromic word of {label} denotes the wrong element"
-            for label in ("a", "b", "ba", "a*b")
-        ]
-        assert len(report.failures) == report.cases == 9
-        monkeypatch.undo()
-        monkeypatch.setattr(verify, "free_reduce", lambda u, v: u)
-        report = check_identity_suite("transversal", ab, spec)
+        monkeypatch.setattr(verify, "mul", lambda x, y: x)
+        report = check_identity_suite("transversal", ab, SampleSpec(max_len=3, max_seq=2))
         assert report.failures[8] == (
             "ba*b * its palindromic word does not stabilize the identity"
         )
-        assert len(report.failures) == 9
+        assert len(report.failures) == report.cases == 9
+
+    @pytest.mark.parametrize(
+        "letters,max_len,max_seq,runs", [("ab", 5, 4, 1813), ("abc", 3, 3, 657)]
+    )
+    def test_squaring_is_the_group_side_step(self, letters, max_len, max_seq, runs):
+        # The check's ``v v = 1``, with v the element a run denotes, against
+        # the group-side step it stands for: the run times the palindromic
+        # word of v, freely reduced, folds to the identity.
+        gens = enumerate_basis(Alphabet(letters), max_len)
+        cases = [run for k in range(1, max_seq + 1) for run in distinct_runs(gens, k)]
+        assert len(cases) == runs
+        for run in cases:
+            v = normal_form_chain(IDENTITY, run)
+            assert transversal_brute(run) == (mul(v, v) is IDENTITY), run

@@ -24,7 +24,7 @@ from bol2 import (
     transpose,
 )
 from bol2.basis import enumerate_filtered
-from bol2.words import fine_factors, palindromic_split, render_all, word_key
+from bol2.words import fine_factors, palindromic_split, render_all
 
 from helpers import (
     AB,
@@ -37,6 +37,7 @@ from helpers import (
     symmetric_brute_set,
     transpose_family,
     transpose_twice,
+    word_key,
     word_strategy,
 )
 
