@@ -5,9 +5,9 @@ For each length n up to --max-len, print the number of arbitrary words,
 reduced words, candidate words (cumulative), basis words (cumulative) and
 carrier elements (cumulative) over the chosen alphabet.  Arbitrary words are
 counted by formula, Catalan(n-1) * k**n for k letters; the other columns
-come from the two level generators of ``bol2.basis``, each read once: the
-reduced words with their candidates, and the carrier with the basis.  The
-``sec`` column is the time to build the row's levels.
+come from the level generator of ``bol2.basis``, read once in each of its
+two modes: the reduced words with their candidates, and the carrier with
+the basis.  The ``sec`` column is the time to build the row's levels.
 
 Example:
 
@@ -15,12 +15,13 @@ Example:
 """
 
 import argparse
+import itertools
 import math
 import sys
 import time
 
 from bol2 import Alphabet, is_candidate
-from bol2.basis import _levels, _reduced_levels
+from bol2.basis import _levels
 
 
 def plain_word_count(n_letters: int, size: int) -> int:
@@ -39,7 +40,8 @@ def main(argv=None) -> int:
     header = f"{'n':>3} {'P_n':>10} {'W_n':>10} {'D<=n':>8} {'R<=n':>8} {'B<=n':>8} {'sec':>7}"
     print(header)
     print("-" * len(header))
-    reduced = _reduced_levels(alphabet, args.max_len)
+    # Each reduced-word level W_n is followed by itself as its factor level.
+    reduced = itertools.islice(_levels(alphabet, args.max_len, reduced=True), 0, None, 2)
     generated = _levels(alphabet, args.max_len)  # C_1, B_1, C_2, B_2, ...
     candidates, basis_words, carrier = 0, 0, 1  # the identity is in the carrier
     for n in range(1, args.max_len + 1):

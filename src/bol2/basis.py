@@ -21,19 +21,22 @@ membership.  Membership does not depend on the alphabet — only letter ranks
 matter — so that table and the canonical-form table of :mod:`.loop` live in
 one process-wide owner, :data:`SHARED_CACHE`.
 
-Every listing here is generated level by level, and its levels live only as
-long as its generator.  A reduced word longer than a letter is a reduced
-product of two shorter ones (see :func:`_reduced_levels`): those levels
-serve :func:`enumerate_filtered`, the scan behind the listings of all
-reduced words and of the candidates, :func:`basis_by_fixpoint` and
-:func:`~bol2.loop.ldiv`'s search.  The carrier and the basis are generated,
-not filtered: a carrier element longer than a letter is a carrier element
-times a basis word, and a basis word longer than a letter is a candidate
-that is a carrier element times a letter, so each level is built from
-shorter levels of the two (see :func:`_levels`).  Both generators take their
-products from :func:`_reduced_products`, and every level is built in the
-word order of :func:`~bol2.words.compare` from ordered levels below it, so
-no listing sorts.  No function here takes a time limit: the command line's
+Every listing here is generated level by level by one generator,
+:func:`_levels`, and its levels live only as long as the generator.  A word
+longer than a letter is ``(c h)``, its last spine factor ``h`` times the
+product ``c`` of the others, so each level is the reduced products of
+shorter levels, taken by :func:`_reduced_products`.  With basis words as the
+spine factors, the levels are the carrier and the basis, generated, not
+filtered: a carrier element longer than a letter is a carrier element times
+a basis word, and a basis word longer than a letter is a candidate that is a
+carrier element times a letter.  With every reduced word as a spine factor,
+the levels are all reduced words, since a reduced word longer than a letter
+is a reduced product of two shorter ones: those levels serve
+:func:`enumerate_filtered`, the scan behind the listings of all reduced
+words and of the candidates, :func:`basis_by_fixpoint` and
+:func:`~bol2.loop.ldiv`'s search.  Every level is built in the word order of
+:func:`~bol2.words.compare` from ordered levels below it, so no listing
+sorts.  No function here takes a time limit: the command line's
 ``--budget`` interrupts whatever is running (see :mod:`.cli`), and every
 table here stores only finished values.
 """
@@ -160,29 +163,12 @@ def _reduced_products(lefts: Sequence[Word], rights: Sequence[Word]) -> list[Wor
     return out
 
 
-def _reduced_levels(alphabet: Alphabet, max_len: int) -> Iterator[list[Word]]:
-    """The reduced-word levels W_1, …, W_max_len, each in the word order and
-    each built only when the caller asks for it.
-
-    W_1 is the letters, and W_n is every reduced product of a word of W_{n−j}
-    and one of W_j, built block by block, j ascending, which keeps the word
-    order.  The levels live only as long as the generator, like those of
-    :func:`_levels`, and no table is written."""
-    levels: list[list[Word]] = [[]]  # levels[k] is W_k
-    for n in range(1, max_len + 1):
-        level = list(alphabet.letters) if n == 1 else []
-        for j in range(1, n):
-            level += _reduced_products(levels[n - j], levels[j])
-        levels.append(level)
-        yield level
-
-
 def enumerate_reduced(alphabet: Alphabet, size: int) -> list[Word]:
     """All reduced words of exactly ``size`` letters in the word order: the
-    top level of :func:`_reduced_levels`."""
+    top level of :func:`_levels` with every reduced word as a spine factor."""
     if size < 1:
         raise ValueError("word size must be at least 1")
-    *_, level = _reduced_levels(alphabet, size)
+    *_, level = _levels(alphabet, size, reduced=True)
     return level
 
 
@@ -190,13 +176,14 @@ def enumerate_filtered(
     alphabet: Alphabet, max_len: int, keep: Callable[[Word], bool]
 ) -> list[Word]:
     """Reduced words of length at most ``max_len`` that satisfy ``keep``, in
-    the word order: the levels of :func:`_reduced_levels`, shortest first.
+    the word order: the reduced-word levels of :func:`_levels`, shortest
+    first.
 
     This scans every reduced word up to ``max_len`` (about 2.5 million on
     ``ab`` to 11), so the carrier and the basis are generated instead; the
     scan serves the listings of all reduced words and of the candidates."""
-    scanned = itertools.chain.from_iterable(_reduced_levels(alphabet, max_len))
-    return [w for w in scanned if keep(w)]
+    levels = itertools.islice(_levels(alphabet, max_len, reduced=True), 0, None, 2)
+    return [w for w in itertools.chain.from_iterable(levels) if keep(w)]
 
 
 def enumerate_candidates(alphabet: Alphabet, max_len: int) -> list[Word]:
@@ -204,34 +191,44 @@ def enumerate_candidates(alphabet: Alphabet, max_len: int) -> list[Word]:
     return enumerate_filtered(alphabet, max_len, is_candidate)
 
 
-def _levels(alphabet: Alphabet, max_len: int) -> Iterator[list[Word]]:
-    """The carrier level C_n and then the basis level B_n, for n = 1, …,
-    ``max_len``, each in the word order and each built only when the caller
-    asks for it.
+def _levels(
+    alphabet: Alphabet, max_len: int, *, reduced: bool = False
+) -> Iterator[list[Word]]:
+    """A word level and then its factor level, for n = 1, …, ``max_len``,
+    each in the word order and each built only when the caller asks for it.
 
-    C_1 and B_1 are the letters.  A longer carrier element is ``(c h)``: its
-    last spine factor ``h`` is a basis word of some length j < n, and the
-    product ``c`` of the others is a carrier element of length n − j.  So
-    C_n is every reduced such product, built block by block, j ascending,
-    which keeps the word order.  A longer basis word ends in a letter (a
-    candidate's right child is one), so B_n is drawn from the first block,
-    the products ``(c l)`` with ``c`` in C_{n−1} and a letter ``l``.  Their
-    spine factors are those of ``c``, basis members since ``c`` is a carrier
-    element, and ``l``, so B_n is exactly the candidates of that block.  The
-    levels live only as long as the generator, and no table is written.
+    Level 1 and factor level 1 are the letters.  A word of a longer level n
+    is ``(c h)``: its last spine factor ``h`` is in factor level j for some
+    j < n, and the product ``c`` of the others is in level n − j.  So level n
+    is every reduced such product, built block by block, j ascending, which
+    keeps the word order.
+
+    By default the levels are the carrier C_n and then the basis B_n.  A
+    longer basis word ends in a letter (a candidate's right child is one),
+    so B_n is drawn from the first block, the products ``(c l)`` with ``c``
+    in C_{n−1} and a letter ``l``.  Their spine factors are those of ``c``,
+    basis members since ``c`` is a carrier element, and ``l``, so B_n is
+    exactly the candidates of that block.
+
+    With ``reduced``, every reduced word is a spine factor, so level n is the
+    reduced words W_n, and its factor level is the same list: no copy and no
+    candidate test.  The levels live only as long as the generator, and no
+    table is written.
     """
     letters = list(alphabet.letters)
-    carrier: list[list[Word]] = [[]]  # carrier[k] is C_k; the identity is no factor
-    basis: list[list[Word]] = [[]]  # basis[j] is B_j
+    words: list[list[Word]] = [[]]  # words[k] is C_k or W_k; the identity is no factor
+    factors: list[list[Word]] = [[]]  # factors[j] is B_j or W_j
     for n in range(1, max_len + 1):
-        level = list(letters) if n == 1 else _reduced_products(carrier[n - 1], letters)
+        level = list(letters) if n == 1 else _reduced_products(words[n - 1], letters)
         ends_in_letter = len(level)
         for j in range(2, n):
-            level += _reduced_products(carrier[n - j], basis[j])
-        carrier.append(level)
+            level += _reduced_products(words[n - j], factors[j])
+        words.append(level)
         yield level
-        basis.append([w for w in level[:ends_in_letter] if is_candidate(w)])
-        yield basis[n]
+        if not reduced:
+            level = [w for w in level[:ends_in_letter] if is_candidate(w)]
+        factors.append(level)
+        yield level
 
 
 def enumerate_basis(alphabet: Alphabet, max_len: int) -> list[Word]:
@@ -262,7 +259,8 @@ def basis_by_fixpoint(alphabet: Alphabet, max_len: int) -> frozenset[Word]:
     if max_len < 1:
         return frozenset()
     members: set[Word] = set(alphabet.letters)
-    for w in itertools.chain.from_iterable(_reduced_levels(alphabet, max_len)):
+    levels = itertools.islice(_levels(alphabet, max_len, reduced=True), 0, None, 2)
+    for w in itertools.chain.from_iterable(levels):
         if is_candidate(w) and all(f in members for f in spine_factors(w)):
             members.add(w)
     return frozenset(members)

@@ -52,9 +52,10 @@ memoized.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
-from .basis import SHARED_CACHE, _reduced_levels, in_basis, in_loop
+from .basis import SHARED_CACHE, _levels, in_basis, in_loop
 from .normalize import InternalInvariantError, normal_form_chain
 from .words import (
     IDENTITY,
@@ -212,16 +213,16 @@ def ldiv(
     a long search.
 
     The search reads the levels of reduced words one at a time, as
-    :func:`~bol2.basis._reduced_levels` builds them, filters each whole
-    level to the carrier, and returns after the first level that holds the
-    quotient; the identity is no candidate, since ``a is b`` is answered
-    first.  So it meets the carrier elements in the order of
-    :func:`~bol2.basis.enumerate_loop_words`, keeps no level after it
-    returns, and costs the reduced words up to the quotient's length.  A
-    level is filtered whole, not scanned lazily: the lazy scan is faster,
-    but more benchmark repetitions fit into a run, and the peak-memory
-    reading, which includes the harness, rises.  The closed form is to
-    replace the search (ROADMAP)."""
+    :func:`~bol2.basis._levels` builds them with every reduced word as a
+    spine factor, filters each whole level to the carrier, and returns after
+    the first level that holds the quotient; the identity is no candidate,
+    since ``a is b`` is answered first.  So it meets the carrier elements in
+    the order of :func:`~bol2.basis.enumerate_loop_words`, keeps no level
+    after it returns, and costs the reduced words up to the quotient's
+    length.  A level is filtered whole, not scanned lazily: the lazy scan is
+    faster, but more benchmark repetitions fit into a run, and the
+    peak-memory reading, which includes the harness, rises.  The closed form
+    is to replace the search (ROADMAP)."""
     if a.size == 0:
         return b
     if b.size == 0:
@@ -229,7 +230,7 @@ def ldiv(
     if a is b:
         return IDENTITY
     bound = max_len if max_len is not None else a.size + b.size + 2
-    for level in _reduced_levels(alphabet, bound):
+    for level in itertools.islice(_levels(alphabet, bound, reduced=True), 0, None, 2):
         for x in [w for w in level if in_loop(w)]:
             if mul(a, x) is b:
                 return x

@@ -294,6 +294,15 @@ class TestCaching:
         enumerate_reduced(alphabet, max_len)
         assert not any(vars(fresh_cache).values())
 
+    @pytest.mark.parametrize("letters,max_len", [("ab", 8), ("abc", 6)])
+    def test_reduced_factor_levels_are_the_word_levels(self, letters, max_len):
+        # With every reduced word as a spine factor, each factor level is the
+        # word level just yielded, not a copy or a filtered list.
+        levels = list(basis._levels(Alphabet(letters), max_len, reduced=True))
+        assert len(levels) == 2 * max_len
+        for words, factors in zip(levels[0::2], levels[1::2]):
+            assert factors is words
+
     def test_only_words_ending_in_a_letter_are_memoized(self, ab, fresh_cache):
         # Filtering every reduced word of length <= 8 for the carrier tests
         # each spine factor, and memoizes only those that end in a letter.

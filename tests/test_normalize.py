@@ -35,6 +35,7 @@ from helpers import (
     iter_chains,
     normal_form_brute,
     reduced_brute,
+    word_key,
     word_strategy,
 )
 
@@ -199,15 +200,22 @@ class TestAlgebraSmall:
         assert check_left_cancellation(ab, 5) > 0
 
 
-def test_enumerate_reduced_counts_and_exactness(ab):
-    assert [len(enumerate_reduced(ab, n)) for n in range(1, 7)] == [
-        2, 2, 6, 24, 106, 510,
-    ]
-    for n in range(1, 6):
-        produced = enumerate_reduced(ab, n)
-        assert all(w.size == n and is_reduced(w) for w in produced)
-        brute = [w for w in all_words_up_to(ab, n) if w.size == n and reduced_brute(w)]
-        assert set(produced) == set(brute)
+@pytest.mark.parametrize(
+    "alphabet,max_len,counts",
+    [(AB, 5, [2, 2, 6, 24, 106, 510]), (ABC, 4, [3, 6, 30, 198, 1452])],
+    ids=["ab-5", "abc-4"],
+)
+def test_enumerate_reduced_counts_and_exactness(alphabet, max_len, counts):
+    sizes = [len(enumerate_reduced(alphabet, n)) for n in range(1, len(counts) + 1)]
+    assert sizes == counts
+    # Each level against the brute-force reduced words of its size, in the
+    # word order.
+    for n in range(1, max_len + 1):
+        produced = enumerate_reduced(alphabet, n)
+        brute = [
+            w for w in all_words_up_to(alphabet, n) if w.size == n and reduced_brute(w)
+        ]
+        assert produced == sorted(brute, key=word_key)
 
 
 @pytest.mark.parametrize("shape", ["left", "right"])
