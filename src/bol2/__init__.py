@@ -5,50 +5,26 @@ Layers, bottom up: :mod:`.words` (binary words, spines, transposes, order),
 and basis membership, carrier enumeration), :mod:`.loop` (canonical
 palindromic forms and the loop operations), :mod:`.verify` (identity suites
 and the group-action harness), :mod:`.cli` (command line front end).
+
+The public names are the layers' ``__all__``, joined in that order: a name
+is public exactly when its layer lists it.
 """
 
-from .basis import (
-    SHARED_CACHE,
-    basis_by_fixpoint,
-    enumerate_basis,
-    enumerate_candidates,
-    enumerate_loop_words,
-    enumerate_reduced,
-    in_basis,
-    in_loop,
-    is_candidate,
-    why_not_in_loop,
-)
-from .cli import BudgetExceeded
-from .loop import (
-    PalindromicForm,
-    ldiv,
-    mul,
-    rdiv,
-    symmetric_form,
-)
-from .normalize import (
-    InternalInvariantError,
-    is_reduced,
-    normal_form,
-    normal_form_chain,
-)
-from .verify import CheckReport, SampleSpec, check_identity_suite
-from .words import (
-    IDENTITY,
-    Alphabet,
-    Letter,
-    Product,
-    Word,
-    WordSyntaxError,
-    compare,
-    fine_factors,
-    is_symmetric,
-    left_assoc,
-    parse,
-    render,
-    spine_factors,
-    transpose,
-)
+from . import basis, cli, loop, normalize, verify, words
+from .words import *
+from .normalize import *
+from .basis import *
+from .loop import *
+from .verify import *
+from .cli import *
+
+__all__ = [
+    *words.__all__,
+    *normalize.__all__,
+    *basis.__all__,
+    *loop.__all__,
+    *verify.__all__,
+    *cli.__all__,
+]
 
 __version__ = "0.1.0"

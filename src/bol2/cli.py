@@ -186,8 +186,6 @@ def _cmd_mul(ns) -> int:
 def _cmd_canon(ns) -> int:
     alphabet = _alphabet(ns)
     g = _require_loop(ns.word, alphabet)
-    if g.size == 0:
-        raise ValueError("the identity word has no canonical form")
     half = [render(h, alphabet) for h in symmetric_form(g).half]
     _emit(ns, [" ".join(half)], half)
     return 0

@@ -71,7 +71,6 @@ __all__ = [
     "free_reduce",
     "symmetric_form",
     "mul",
-    "rdiv",
     "ldiv",
 ]
 
@@ -120,7 +119,7 @@ def _palindromic_sequence(word: Word) -> tuple[Word, ...]:
 def symmetric_form(element: Word) -> PalindromicForm:
     """The canonical palindromic form of a non-identity carrier element."""
     if element.size == 0:
-        raise ValueError("the identity word has no palindromic form")
+        raise ValueError("the identity word has no canonical form")
     try:
         return SHARED_CACHE.forms[element]
     except KeyError:
@@ -190,12 +189,6 @@ def mul(x: Word, y: Word) -> Word:
     if x.size == 0:
         return y
     return normal_form_chain(x, symmetric_form(y).sequence)
-
-
-def rdiv(b: Word, a: Word) -> Word:
-    """The unique ``x`` with ``x * a = b``; since ``(x*a)*a = x`` this is just
-    ``b * a``."""
-    return mul(b, a)
 
 
 def ldiv(

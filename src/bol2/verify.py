@@ -160,17 +160,24 @@ def _runs(what, unit, alphabet, spec):
             run += (g,)
         return run
 
+    def every():
+        # Each level extends the one before by a basis word other than its
+        # last entry, so it stays in product order.
+        level = [(g,) for g in gens]
+        yield from level
+        for _ in range(1, spec.max_seq):
+            level = [run + (g,) for run in level for g in gens if g is not run[-1]]
+            yield from level
+
+    # n (n-1)^(k-1) runs of length k, summed over k = 1 .. max_seq.
+    k = spec.max_seq
+    total = 1 if n == 1 else 2 * k if n == 2 else n * ((n - 1) ** k - 1) // (n - 2)
     return (
         f"{what.format(spec.max_seq)} over the {n} basis words of length <= "
         f"{spec.max_len} on {alphabet.symbols!r}",
         unit,
-        sum(n * (n - 1) ** (k - 1) for k in range(1, spec.max_seq + 1)),
-        (
-            run
-            for k in range(1, spec.max_seq + 1)
-            for run in itertools.product(gens, repeat=k)
-            if all(a is not b for a, b in zip(run, run[1:]))
-        ),
+        total,
+        every(),
         draw,
     )
 

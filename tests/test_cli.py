@@ -267,6 +267,21 @@ class TestCheck:
         assert code == 0
         assert "cases: 9" in out.splitlines()
 
+    @pytest.mark.parametrize("suite", ["transversal", "unique-form"])
+    def test_long_runs_over_two_basis_words_are_listed_exhaustively(
+        self, capsys, suite
+    ):
+        # Two basis words have 2 runs of each length: 80 runs of up to 40
+        # entries, listed without building the 2^k products of each length.
+        code, out, _ = run(
+            capsys, "check", suite, "--max-len", "1", "--max-seq", "40",
+            "--budget", "5000", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["passed"] is True
+        assert payload["cases"] == 80 and payload["seed"] is None
+
     def test_unique_form_samples_a_large_universe(self, capsys):
         # Runs of up to 9 basis words of length <= 9 are far too many to
         # scan, so the default limit replaces them by a seeded sample.

@@ -28,7 +28,6 @@ from bol2 import (
     normal_form,
     normal_form_chain,
     parse,
-    rdiv,
     render,
     spine_factors,
     symmetric_form,
@@ -342,15 +341,6 @@ class TestMul:
 
 
 class TestDivision:
-    def test_rdiv_undoes_right_multiplication(self, ab):
-        pool = enumerate_loop_words(ab, 3)
-        for x in pool:
-            for y in pool:
-                assert rdiv(mul(x, y), y) is x
-
-    def test_rdiv_golden(self, ab):
-        assert render(rdiv(parse("((ab)a)b", ab), parse("b", ab)), ab) == "(ab)a"
-
     def test_ldiv_finds_short_quotients(self, ab):
         a, b = parse("a", ab), parse("ab", ab)
         assert ldiv(a, b, ab) is parse("b", ab)

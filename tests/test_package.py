@@ -6,6 +6,8 @@ import pathlib
 
 import pytest
 
+import bol2
+
 LAYERS = ("words", "normalize", "basis", "loop", "verify", "cli")
 
 
@@ -16,6 +18,17 @@ def test_every_exported_name_exists(layer):
     module = importlib.import_module(f"bol2.{layer}")
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def test_package_exports_the_layers_names():
+    # A name is public on the package exactly when its layer lists it.
+    layers = [importlib.import_module(f"bol2.{layer}") for layer in LAYERS]
+    joined = [name for module in layers for name in module.__all__]
+    assert bol2.__all__ == joined
+    assert len(set(joined)) == len(joined)
+    for module in layers:
+        for name in module.__all__:
+            assert getattr(bol2, name) is getattr(module, name), name
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent

@@ -241,6 +241,19 @@ class TestTransversal:
         )
         assert len(report.failures) == report.cases == 9
 
+    @pytest.mark.parametrize("letters,max_len", [("a", 3), ("ab", 1), ("abc", 1)])
+    @pytest.mark.parametrize("max_seq", range(1, 7))
+    def test_run_count_is_the_length_of_the_listing(self, letters, max_len, max_seq):
+        # One, two and three basis words: the count's three closed forms.
+        alphabet = Alphabet(letters)
+        spec = SampleSpec(max_len=max_len, max_seq=max_seq)
+        _, _, total, every, _ = verify._runs("{}", "runs", alphabet, spec)
+        gens = enumerate_basis(alphabet, max_len)
+        assert len(gens) == len(letters)
+        expected = [run for k in range(1, max_seq + 1) for run in distinct_runs(gens, k)]
+        assert total == len(expected)
+        assert list(every) == expected
+
     @pytest.mark.parametrize(
         "letters,max_len,max_seq,runs", [("ab", 5, 4, 1813), ("abc", 3, 3, 657)]
     )
