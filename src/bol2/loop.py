@@ -17,37 +17,33 @@ right multiplication.  Left division has a closed form too,
 ``((xy)z)y = x((yz)y)`` to get ``a((a(ba))a) = ((aa)(ba))a = (ba)a = b``.
 :func:`ldiv` still finds the quotient by a bounded search.
 
-The canonical form is found by steering a word toward its transposes:
+The canonical form is found by steering a word toward its transposes, in
+one loop over a word ``g`` (at first the element) and its spine
+``(a1, ..., as)``.  Each step folds one transpose: the reversed spine
+``(as, ..., a1)``, folded through :func:`~bol2.normalize.normal_form_chain`,
+gives the transpose itself when it keeps the size of ``g``, and the
+transpose's normal form when it shrinks, so no non-reduced transpose enters
+the intern table.  When ``as`` is a letter, the double transpose is ``g``
+itself, so that one fold decides both whether ``g`` is a basis member (a
+letter, or it precedes its transpose: the test of
+:func:`~bol2.basis.is_candidate`) and the core.  A step finds the core, or
+passes a word to the next step:
 
-* basis members are their own (singleton) form;
-* if the transpose is not reduced, recurse on its normal form and wrap the
-  result in the reversed spine ``(as, ..., a1)`` of ``g``;
-* else if the last spine factor ``as`` is not a letter, the transpose is a
-  carrier element of the same size whose last spine factor is ``a1``, a
-  letter: take its wrap and core by these steps, and wrap them again in
-  ``(as, ..., a1)``;
-* else if the transpose differs from ``g``, it is the basis member, the
-  one-entry core (wrapped as above);
-* else ``g`` is an odd palindromic product of basis words, and its unique
-  such factorization is the core.
+* a basis member ``g`` is the one-entry core, and adds nothing to the wrap;
+* otherwise ``(as, ..., a1)`` joins the wrap.  Then a shrunk transpose is
+  a strictly shorter carrier element, and the core is its form, from
+  :func:`symmetric_form`: the only recursion;
+* else if ``as`` is a letter, the core is the transpose, the basis member,
+  or, when the transpose is ``g`` itself, the unique odd palindromic
+  factorization of ``g`` over the basis;
+* else the transpose is a carrier element of the same size whose last spine
+  factor is ``a1``, a letter: it is the next step's word, and its spine is
+  the spine of ``as`` followed by ``(a(s-1), ..., a1)``.
 
-The transpose is not built as a word, and each step folds it once: it is
-the reversed spine, folded through
-:func:`~bol2.normalize.normal_form_chain`, and the fold gives the transpose
-itself when it keeps the element's size, and the transpose's normal form
-when it shrinks, which is all the steps above use.  So no non-reduced
-transpose enters the intern table.  When the last spine factor is a letter,
-the double transpose is ``g`` itself, so the one fold decides both whether
-``g`` is a basis member (it precedes its transpose) and the core.  Otherwise
-the same-size transpose takes one more step, which ends in one of the
-others; a shrunk transpose is checked to be a carrier element once, by the
-recursive call of :func:`symmetric_form`.
-
-Each step gives a wrap and a core, an odd palindrome over the basis; the
-form is the core conjugated by the wrap, ``wrap + core + reversed(wrap)``,
-freely reduced by :func:`free_reduce` (equal adjacent entries are involutions
-and cancel).  Every computed form is checked to denote ``g`` before it is
-memoized.
+The form is the core conjugated by the wrap, ``wrap + core +
+reversed(wrap)``, freely reduced by :func:`free_reduce` (equal adjacent
+entries are involutions and cancel).  Every computed form is checked to
+denote its element before it is memoized.
 """
 
 from __future__ import annotations
@@ -107,15 +103,6 @@ def free_reduce(left: tuple[Word, ...], right: tuple[Word, ...]) -> tuple[Word, 
     return left[:i] + right[j:]
 
 
-def _palindromic_sequence(word: Word) -> tuple[Word, ...]:
-    """The unique odd palindromic spine split of ``word``, whose entries must
-    all be basis members."""
-    split = palindromic_split(word)
-    if split is None or not all(in_basis(x) for x in split):
-        raise InternalInvariantError(f"no palindromic split over the basis: {word!r}")
-    return split
-
-
 def symmetric_form(element: Word) -> PalindromicForm:
     """The canonical palindromic form of a non-identity carrier element."""
     if element.size == 0:
@@ -126,7 +113,37 @@ def symmetric_form(element: Word) -> PalindromicForm:
         pass
     if not in_loop(element):
         raise ValueError(f"not a carrier element: {element!r}")
-    wrap, core = _wrap_and_core(element)
+    # The steps of the module docstring.  The transpose is folded once, not
+    # built: ``t`` is the transpose when it kept the size of ``g``, and
+    # otherwise the transpose's normal form.
+    g, spine, wrap = element, spine_factors(element), ()
+    while True:
+        reverse = spine[::-1]
+        t = normal_form_chain(IDENTITY, reverse)
+        if g.size == 1 or spine[-1].size == 1 and compare(g, t) < 0:
+            core = (g,)
+            break
+        wrap = free_reduce(wrap, reverse)
+        if t.size < g.size:
+            # Strictly shorter, so the recursion terminates, and a
+            # non-identity carrier element, which the recursive call checks.
+            try:
+                core = symmetric_form(t).sequence
+            except ValueError:
+                raise InternalInvariantError(
+                    f"transpose of {g!r} reduced to unusable {t!r}"
+                ) from None
+            break
+        if spine[-1].size == 1:
+            # The double transpose is ``g`` itself, so a transpose other
+            # than ``g`` is the basis member.
+            core = (t,) if t is not g else palindromic_split(g)
+            if t is g and (core is None or not all(in_basis(x) for x in core)):
+                raise InternalInvariantError(
+                    f"no palindromic split over the basis: {g!r}"
+                )
+            break
+        g, spine = t, spine_factors(spine[-1]) + reverse[1:]
     # Conjugate the core by the wrap; the free reduction of an odd
     # palindrome is one, so its first half is the form.
     sequence = free_reduce(free_reduce(wrap, core), wrap[::-1])
@@ -140,43 +157,6 @@ def symmetric_form(element: Word) -> PalindromicForm:
         )
     SHARED_CACHE.forms[element] = form
     return form
-
-
-def _wrap_and_core(element: Word) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
-    # The steps of the module docstring for a carrier element.  The
-    # transpose is folded once, not built: ``t`` is the transpose when it
-    # kept the element's size, and otherwise the transpose's normal form.
-    factors = spine_factors(element)
-    wrap = factors[::-1]
-    t = normal_form_chain(IDENTITY, wrap)
-    if t.size < element.size:
-        return wrap, _shrunk_sequence(t, element)
-    if factors[-1].size > 1:
-        # ``t`` is a carrier element of the same size whose last spine factor
-        # is the element's first, a letter: conjugate its form by the wrap.
-        inner, core = _wrap_and_core(t)
-        return free_reduce(wrap, inner), core
-    # The double transpose is the element itself, so ``t`` decides both
-    # membership and the form.  The spine factors are basis members, so the
-    # element is one exactly when it is a letter or precedes its transpose
-    # (the test of :func:`~bol2.basis.is_candidate`).
-    if element.size == 1 or compare(element, t) < 0:
-        return (), (element,)
-    if t is element:
-        return wrap, _palindromic_sequence(t)
-    return wrap, (t,)
-
-
-def _shrunk_sequence(reduced: Word, element: Word) -> tuple[Word, ...]:
-    # The folded normal form of a non-reduced transpose: strictly shorter, so
-    # the recursion terminates, and a non-identity carrier element, which
-    # the recursive call checks.
-    try:
-        return symmetric_form(reduced).sequence
-    except ValueError:
-        raise InternalInvariantError(
-            f"transpose of {element!r} reduced to unusable {reduced!r}"
-        ) from None
 
 
 def mul(x: Word, y: Word) -> Word:

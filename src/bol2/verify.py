@@ -151,14 +151,14 @@ def _runs(what, unit, alphabet, spec):
     n = len(gens)
 
     def draw(rng):
-        run: tuple[Word, ...] = ()
+        run: list[Word] = []
         # One basis word has no run of two: draw only its single run.
         for _ in range(rng.randint(1, spec.max_seq if n > 1 else 1)):
             g = rng.choice(gens)
             while run and run[-1] is g:
                 g = rng.choice(gens)
-            run += (g,)
-        return run
+            run.append(g)
+        return tuple(run)
 
     def every():
         # Each level extends the one before by a basis word other than its

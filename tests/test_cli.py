@@ -282,6 +282,16 @@ class TestCheck:
         assert payload["passed"] is True
         assert payload["cases"] == 80 and payload["seed"] is None
 
+    def test_a_long_sampled_run_is_drawn_in_linear_time(self, capsys):
+        # One run of up to 200,000 entries: drawn entry by entry into a list,
+        # not by copying a growing tuple at each entry.
+        code, out, _ = run(
+            capsys, "check", "transversal", "--max-len", "3", "--max-seq", "200000",
+            "--sample", "1", "--budget", "5000", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["cases"] == 1
+
     def test_unique_form_samples_a_large_universe(self, capsys):
         # Runs of up to 9 basis words of length <= 9 are far too many to
         # scan, so the default limit replaces them by a seeded sample.

@@ -191,16 +191,36 @@ class TestSymmetricForm:
         self, ab, fresh_cache, monkeypatch
     ):
         # A well-formed palindrome over the basis, but of the wrong element:
-        # the core ``a`` planted for ``((ba)b)a`` denotes ``a``.  The
-        # denotation check is the one place such a form is caught.
+        # the core ``a``, planted in the conjugation for ``((ba)b)a``,
+        # denotes ``a``.  The denotation check is the one place such a form
+        # is caught.
         element, a = parse("((ba)b)a", ab), parse("a", ab)
-        real = loop._wrap_and_core
+        real = loop.free_reduce
         monkeypatch.setattr(
-            loop, "_wrap_and_core", lambda e: ((), (a,)) if e is element else real(e)
+            loop,
+            "free_reduce",
+            lambda left, right: tuple(
+                a if w is element else w for w in real(left, right)
+            ),
         )
         with pytest.raises(InternalInvariantError, match="does not denote"):
             symmetric_form(element)
         assert not fresh_cache.forms
+
+    def test_a_palindrome_with_no_split_over_the_basis_is_an_internal_error(
+        self, ab, fresh_cache, monkeypatch
+    ):
+        # ``(ba)b`` is its own transpose, so its core is its palindromic
+        # split; without one, the steps are wrong, and nothing is memoized.
+        element = parse("(ba)b", ab)
+        with monkeypatch.context() as patch:
+            patch.setattr(loop, "palindromic_split", lambda word: None)
+            with pytest.raises(
+                InternalInvariantError, match="no palindromic split over the basis"
+            ):
+                symmetric_form(element)
+        assert not fresh_cache.forms
+        assert symmetric_form(element).half == (parse("b", ab), parse("a", ab))
 
     def test_memoized_per_cache(self, ab, fresh_cache):
         w = parse("ab", ab)
