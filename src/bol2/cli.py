@@ -124,8 +124,7 @@ def _emit(ns, lines: list[str], payload) -> None:
     if ns.format == "json":
         print(json.dumps(payload))
     else:
-        for line in lines:
-            print(line)
+        print("\n".join(lines))
 
 
 def _cmd_normalize(ns) -> int:

@@ -25,6 +25,12 @@ rearrangement they do not keep (a transpose, the head of a palindromic
 split) without building it: a head is a left descendant of the word, and a
 transpose is folded through :func:`~bol2.normalize.normal_form_chain`.
 
+Two walks spell words, each in one mode.  :func:`render` spells one word in
+time and space linear in its size.  :func:`render_all` spells a listing
+through one table, joining each composite subword's spelling from its two
+children's spellings; the table holds each composite subword's full
+spelling, so one very deep word costs its depth times its length there.
+
 >>> ab = Alphabet("ab")
 >>> w = parse("((ba)b)a", ab)
 >>> [render(f, ab) for f in spine_factors(w)]
@@ -246,16 +252,55 @@ def render(word: Word, alphabet: Alphabet) -> str:
 
 def render_all(words: Iterable[Word], alphabet: Alphabet) -> list[str]:
     """``[render(w, alphabet) for w in words]``, with each distinct composite
-    subword spelled once.
+    subword spelled once, from its two children's spellings.
 
-    A listing shares most of its subwords (a level of reduced words is built
-    from the levels below it), so the walks share one table of spellings
-    that lives only for this call, and a listed word's string is the
-    table's own.  The table holds every composite subword, which suits a
-    listing of many short words; :func:`render` spells one word in time and
-    space linear in its size."""
-    spelled: dict[Word, str] = {}
-    return [_spell(w, alphabet.name, spelled) for w in words]
+    A listing shares most of its subwords (a level is built from the levels
+    below it), so the spellings go into one table that lives only for this
+    call, and a listed word's string is the table's own.  The walk is
+    post-order over the subwords not yet in the table, on an explicit stack,
+    so the depth of a word is not bounded by the recursion limit.  The table
+    holds each composite subword's full spelling, which suits a listing of
+    many short words: one very deep word costs its depth times its length
+    there, while :func:`render` spells one word in time and space linear in
+    its size."""
+    name = alphabet.name
+    # The identity word and letters bare; a composite without the outer
+    # parentheses that it gets as a child.
+    spelled: dict[Word, str] = {IDENTITY: "1"}
+    listing = []
+    for word in words:
+        text = spelled.get(word)
+        if text is None and not isinstance(word, Product):
+            text = spelled[word] = name(word.index)
+        elif text is None:
+            # The stack is a path down from ``word``: a child not yet
+            # spelled is pushed, and a word is spelled once both its
+            # children are, so none is spelled twice.
+            stack = [word]
+            while stack:
+                w = stack[-1]
+                left = w.left
+                right = w.right
+                a = spelled.get(left)
+                if a is None:
+                    if isinstance(left, Product):
+                        stack.append(left)
+                        continue
+                    a = spelled[left] = name(left.index)
+                b = spelled.get(right)
+                if b is None:
+                    if isinstance(right, Product):
+                        stack.append(right)
+                        continue
+                    b = spelled[right] = name(right.index)
+                stack.pop()
+                if left.size == 1:
+                    spelled[w] = a + b if right.size == 1 else f"{a}({b})"
+                else:
+                    spelled[w] = f"({a}){b}" if right.size == 1 else f"({a})({b})"
+            text = spelled[word]
+        listing.append(text)
+    return listing
 
 
 def clip(text: str) -> str:
@@ -266,41 +311,27 @@ def clip(text: str) -> str:
     return f"{text[:60]}... ({len(text)} characters)"
 
 
-def _spell(
-    word: Word, name: Callable[[int], str], spelled: dict[Word, str] | None = None
-) -> str:
-    # The one tree walk behind render, render_all and repr; ``name`` spells a
-    # letter rank.  An explicit stack of pending subwords and closing marks,
-    # so the depth of a word is not bounded by the recursion limit.  A
-    # composite's closing mark holds where its spelling starts in ``parts``:
-    # 0 for the top level, which stays bare.  Given a table ``spelled``, the
-    # walk copies a subword found there instead of walking it, and stores
-    # each composite it walks without its outer parentheses.
+def _spell(word: Word, name: Callable[[int], str]) -> str:
+    # The one-word walk behind render and repr, linear in the word's size;
+    # ``name`` spells a letter rank.  An explicit stack of pending subwords
+    # and closing marks, so the depth of a word is not bounded by the
+    # recursion limit; the top level has no closing mark, so it stays bare.
     if word.size == 0:
         return "1"
     if not isinstance(word, Product):
         return name(word.index)
-    if spelled is not None and word in spelled:
-        return spelled[word]
     parts: list[str] = []
-    stack: list = [(word, 0), word.right, word.left]
+    stack: list = [word.right, word.left]
     while stack:
         w = stack.pop()
-        if isinstance(w, tuple):
-            sub, start = w
-            if spelled is not None:
-                text = spelled[sub] = "".join(parts[start:])
-                parts[start:] = (text,)
-            if start:
-                parts.append(")")
-        elif not isinstance(w, Product):
-            parts.append(name(w.index))
-        elif spelled is not None and w in spelled:
-            parts += ("(", spelled[w], ")")
-        else:
+        if w is None:
+            parts.append(")")
+        elif isinstance(w, Product):
             parts.append("(")
-            stack += ((w, len(parts)), w.right, w.left)
-    return parts[0] if spelled is not None else "".join(parts)
+            stack += (None, w.right, w.left)
+        else:
+            parts.append(name(w.index))
+    return "".join(parts)
 
 
 def left_assoc(factors: Iterable[Word]) -> Word:

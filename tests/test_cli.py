@@ -226,6 +226,15 @@ class TestEnum:
         _, out, _ = run(capsys, "enum", "W", "--max-len", "2", "--format", "json")
         assert json.loads(out) == ["a", "b", "ba", "ab"]
 
+    @pytest.mark.parametrize("letters,max_len", [("ab", 6), ("abc", 4)])
+    @pytest.mark.parametrize("kind", ["W", "D", "R", "B"])
+    def test_text_is_the_json_list_and_its_count(self, capsys, kind, letters, max_len):
+        argv = ["enum", kind, "--alphabet", letters, "--max-len", str(max_len)]
+        _, text, _ = run(capsys, *argv)
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        listing = json.loads(out)
+        assert text == "".join(f"{line}\n" for line in listing + [f"count: {len(listing)}"])
+
     def test_unknown_kind(self, capsys):
         # argparse rejects the choice; main converts the exit into code 2
         code, _, err = run(capsys, "enum", "Q", "--max-len", "3")

@@ -140,7 +140,10 @@ class TestParseRender:
     ):
         alphabet = Alphabet(letters)
         words = enumerate_kind(alphabet, max_len)
-        assert render_all(words, alphabet) == [render(w, alphabet) for w in words]
+        # Reversed, each word comes before its subwords, so the walk spells
+        # every child first.
+        for listing in (words, words[::-1]):
+            assert render_all(listing, alphabet) == [render(w, alphabet) for w in listing]
 
     def test_render_all_of_repeats_the_identity_and_unreduced_words(self, ab):
         words = [parse(t, ab) for t in ("1", "aa", "(aa)(aa)", "a", "1", "aa")]
