@@ -110,13 +110,21 @@ def symmetric_form(element: Word) -> PalindromicForm:
     try:
         return SHARED_CACHE.forms[element]
     except KeyError:
-        pass
-    if not in_loop(element):
+        return _cold_form(element)
+
+
+def _cold_form(element: Word) -> PalindromicForm:
+    """The canonical form of a non-identity word that has none in the forms
+    table yet: computed, checked to denote the word, and memoized."""
+    # The carrier test of :func:`~bol2.basis.in_loop` on the spine that the
+    # first step reads, so a cold form walks the element's spine once.
+    spine = spine_factors(element)
+    if not (element.reduced and all(in_basis(f) for f in spine)):
         raise ValueError(f"not a carrier element: {element!r}")
     # The steps of the module docstring.  The transpose is folded once, not
     # built: ``t`` is the transpose when it kept the size of ``g``, and
     # otherwise the transpose's normal form.
-    g, spine, wrap = element, spine_factors(element), ()
+    g, wrap = element, ()
     while True:
         reverse = spine[::-1]
         t = normal_form_chain(IDENTITY, reverse)
@@ -168,7 +176,13 @@ def mul(x: Word, y: Word) -> Word:
         return x
     if x.size == 0:
         return y
-    return normal_form_chain(x, symmetric_form(y).sequence)
+    # The forms table is read here, not through ``symmetric_form``: in the
+    # checks nearly every form is warm, and a miss needs no second read.
+    try:
+        form = SHARED_CACHE.forms[y]
+    except KeyError:
+        form = _cold_form(y)
+    return normal_form_chain(x, form.sequence)
 
 
 def ldiv(

@@ -72,11 +72,14 @@ def normal_form_chain(head: Word, factors: Iterable[Word]) -> Word:
     of basis words), so the fold normalizes nothing.  For normal forms ``u``
     and ``v`` the normal form of ``u v`` is ``1`` if ``u == v``, ``a`` if
     ``u == (a v)``, and otherwise ``(u v)``, which is then reduced.  Each
-    step takes the two collapses, then one read of the intern table, and on
-    a miss builds the product without a second read.  A head or factor
-    outside this contract raises :class:`InternalInvariantError` before a
-    word with an identity or a non-reduced child is built, and every product
-    read from the intern table is checked to be reduced.
+    step reads the intern table first.  A reduced hit is the next head, as
+    neither collapse gives a reduced product: ``(v v)`` and ``((a v) v)``
+    are not reduced.  Only a miss or a non-reduced hit goes on to the two
+    collapses, and a miss then builds the product without a second read.
+    A head or factor outside this contract raises
+    :class:`InternalInvariantError` before a word with an identity or a
+    non-reduced child is built, and a product read from the intern table
+    that no collapse explains is checked to be reduced.
 
     The fold never builds a non-reduced word, so it can test a
     rearrangement of factors without interning a throwaway one: the result
@@ -87,9 +90,12 @@ def normal_form_chain(head: Word, factors: Iterable[Word]) -> Word:
     if not head.reduced:
         raise InternalInvariantError(f"fold from a non-reduced head: {head!r}")
     acc = head
-    interned = Product._interned
+    get = Product._interned.get
     for f in factors:
-        if acc is f:
+        w = get((acc, f))
+        if w is not None and w.reduced:
+            acc = w
+        elif acc is f:
             acc = IDENTITY
         elif acc is IDENTITY:
             if not f.reduced:
@@ -98,7 +104,6 @@ def normal_form_chain(head: Word, factors: Iterable[Word]) -> Word:
         elif acc.size > 1 and acc.right is f:  # size > 1: ``acc`` is a product
             acc = acc.left
         else:
-            w = interned.get((acc, f))
             if w is None:
                 # ``acc`` is reduced and neither collapse applies, so the
                 # product is reduced exactly when ``f`` is.

@@ -34,6 +34,14 @@ to ``max_seq`` basis words.  Universes are exhaustive when small enough,
 otherwise a seeded sample; every report records what was scanned, so the
 checks are reproducible.  ``nuclei`` alone refuses to sample.  A check
 takes no time limit; the command line's ``--budget`` interrupts it.
+
+``bol`` shares the subterms that bind fewer variables than the law: each
+scan computes ``x y`` once per ``(x, y)`` and ``(y z) y`` once per
+``(y, z)``.  The two tables are made when the scan starts and dropped when
+it ends, so each holds at most min(cases, pool size²) entries, is no part
+of :data:`~bol2.basis.SHARED_CACHE`, and reads the ``mul`` of its own
+scan.  A sample of 3,000 triples from the 30 elements of length at most 5
+repeats 71% of either binding.  ``exp2`` and ``rip`` share nothing.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 from .basis import enumerate_basis, enumerate_loop_words
 from .loop import mul, symmetric_form
@@ -138,7 +146,7 @@ def _carrier(law, arity, alphabet, spec):
         "tuples",
         len(pool) ** arity,
         itertools.product(pool, repeat=arity),
-        lambda rng: tuple(rng.choice(pool) for _ in range(arity)),
+        lambda rng: tuple([rng.choice(pool) for _ in range(arity)]),
     )
 
 
@@ -182,8 +190,12 @@ def _runs(what, unit, alphabet, spec):
     )
 
 
-def _bol(x, y, z):
-    return mul(mul(mul(x, y), z), y) is mul(x, mul(mul(y, z), y))
+def _bol():
+    """The Bol law's test for one scan, with the scan's two subterm tables
+    (see the module docstring)."""
+    xy = cache(mul)
+    yzy = cache(lambda y, z: mul(mul(y, z), y))
+    return lambda x, y, z: mul(mul(xy(x, y), z), y) is mul(x, yzy(y, z))
 
 
 def _exp2(x):
@@ -194,16 +206,23 @@ def _rip(x, y):
     return mul(mul(x, y), y) is x
 
 
-def _law(law, arity, holds):
-    """The check of a law over the carrier: a failure binds x, y, z in order."""
+def _law(law, arity, make_holds):
+    """The check of a law over the carrier: ``make_holds()``, called as
+    each scan starts, gives the scan's test of one binding, and a failure
+    binds x, y, z in order."""
 
-    def test(case, alphabet):
-        if holds(*case):
-            return None
-        binding = " ".join(f"{n}={render(w, alphabet)}" for n, w in zip("xyz", case))
-        return f"{law} fails at {binding}"
+    def check(which, alphabet, spec):
+        holds = make_holds()
 
-    return partial(_scan, partial(_carrier, law, arity), test)
+        def test(case, alphabet):
+            if holds(*case):
+                return None
+            binding = " ".join(f"{n}={render(w, alphabet)}" for n, w in zip("xyz", case))
+            return f"{law} fails at {binding}"
+
+        return _scan(partial(_carrier, law, arity), test, which, alphabet, spec)
+
+    return check
 
 
 def _unique_form(half, alphabet):
@@ -261,8 +280,8 @@ def _nuclei_suite(which, alphabet, spec) -> CheckReport:
 
 _CHECKS = {
     "bol": _law("((x y) z) y = x ((y z) y)", 3, _bol),
-    "exp2": _law("x x = 1", 1, _exp2),
-    "rip": _law("(x y) y = x", 2, _rip),
+    "exp2": _law("x x = 1", 1, lambda: _exp2),
+    "rip": _law("(x y) y = x", 2, lambda: _rip),
     "nuclei": _nuclei_suite,
     "unique-form": partial(
         _scan,

@@ -359,7 +359,8 @@ def spine_factors(word: Word) -> tuple[Word, ...]:
         rev.append(word.right)
         word = word.left
     rev.append(word)
-    return tuple(reversed(rev))
+    rev.reverse()
+    return tuple(rev)
 
 
 def fine_factors(word: Word) -> tuple[Word, ...]:

@@ -30,6 +30,7 @@ from bol2 import (
     symmetric_form,
     transpose,
 )
+from bol2 import verify
 from bol2.loop import free_reduce
 
 AB = Alphabet("ab")
@@ -264,6 +265,15 @@ def palindrome_index(
             )
             index[value] = half
     return index
+
+
+def bol_unshared(x, y, z) -> bool:
+    """The right Bol law ``((x y) z) y = x ((y z) y)`` at one binding, every
+    subterm computed afresh through the ``mul`` that :mod:`bol2.verify`
+    reads at the time of the call, a planted one included: the test of the
+    ``bol`` suite without its per-scan tables."""
+    mul = verify.mul
+    return mul(mul(mul(x, y), z), y) is mul(x, mul(mul(y, z), y))
 
 
 def transversal_brute(run: tuple[Word, ...]) -> bool:

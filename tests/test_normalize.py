@@ -109,6 +109,30 @@ def test_chain_rejects_a_non_reduced_product(ab, monkeypatch):
     assert Product._interned[a, b] is ab_word
 
 
+def test_chain_collapses_past_interned_non_reduced_products(ab):
+    # The fold reads the intern table before it takes the collapses, so a
+    # collapse's product may be a hit: parsing interned it.  Such a hit is
+    # not reduced and must not become the head.
+    a, b, ba = parse("a", ab), parse("b", ab), parse("ba", ab)
+    for text in ("aa", "(ab)b", "((ba)a)a"):
+        assert not parse(text, ab).reduced
+    assert normal_form_chain(a, (a,)) is IDENTITY
+    assert normal_form_chain(parse("ab", ab), (b,)) is a
+    assert normal_form_chain(b, (a, a, a)) is ba
+    assert normal_form_chain(IDENTITY, (b, a, a, a, a)) is b
+    # With every word of up to 5 letters interned, reduced or not, no fold
+    # of reduced words of up to 6 letters in all returns a non-reduced word.
+    all_words_up_to(AB, 5)
+    chains = 0
+    for chain in iter_chains(AB, 6):
+        if all(w.reduced for w in chain):
+            chains += 1
+            folded = normal_form_chain(IDENTITY, chain)
+            assert folded.reduced, chain
+            assert folded is normal_form_brute(left_assoc(chain)), chain
+    assert chains > 1000
+
+
 def _fold_operands(words):
     """The drawn words as the fold takes them: normalized, identities dropped."""
     return tuple(w for w in map(normal_form, words) if w is not IDENTITY)

@@ -21,11 +21,11 @@ from bol2 import (
     parse,
     symmetric_form,
 )
-from bol2 import verify
+from bol2 import loop, verify
 from bol2.loop import free_reduce
 from bol2.verify import SUITES
 
-from helpers import distinct_runs, transversal_brute
+from helpers import bol_unshared, distinct_runs, transversal_brute
 
 
 def gw(ab, *texts):
@@ -127,6 +127,34 @@ class TestSuites:
         assert report.ok and report.cases == 64 and report.seed == 11
         again = check_identity_suite("bol", ab, spec)
         assert report.universe == again.universe  # deterministic under a seed
+
+    @pytest.mark.parametrize(
+        "letters,spec,failing",
+        [
+            ("ab", SampleSpec(max_len=3), 560),
+            ("abc", SampleSpec(max_len=2), 792),
+            ("ab", SampleSpec(max_len=4, exhaustive_limit=0, sample_size=500, seed=3), 435),
+        ],
+    )
+    def test_shared_bol_reports_what_the_unshared_law_reports(
+        self, letters, spec, failing, monkeypatch
+    ):
+        # A planted product with its operands swapped breaks the law at most
+        # bindings; the suite, which computes ``x y`` and ``(y z) y`` once per
+        # binding of their variables, reports the failures of the law tested
+        # afresh at every binding.  ``failing`` is what the suite reported
+        # before it shared subterms, so the sample draws the same cases.  The
+        # first scan runs the real product, so a table that outlived it
+        # would hide failures of the second.
+        alphabet = Alphabet(letters)
+        assert check_identity_suite("bol", alphabet, spec).ok
+        monkeypatch.setattr(verify, "mul", lambda x, y: loop.mul(y, x))
+        shared = check_identity_suite("bol", alphabet, spec).to_dict()
+        law = verify._law("((x y) z) y = x ((y z) y)", 3, lambda: bol_unshared)
+        unshared = law("bol", alphabet, spec).to_dict()
+        del shared["elapsed_ms"], unshared["elapsed_ms"]
+        assert shared == unshared
+        assert shared["cases"] > len(shared["failures"]) == failing
 
     def test_nuclei_suite_finds_trivial_middle_nucleus(self, ab):
         report = check_identity_suite("nuclei", ab, SampleSpec(max_len=3))
