@@ -38,7 +38,11 @@ passes a word to the next step:
   factorization of ``g`` over the basis;
 * else the transpose is a carrier element of the same size whose last spine
   factor is ``a1``, a letter: it is the next step's word, and its spine is
-  the spine of ``as`` followed by ``(a(s-1), ..., a1)``.
+  the spine of ``as`` followed by ``(a(s-1), ..., a1)``.  Its reversed
+  spine begins with ``(a1, ..., a(s-1))``, whose fold is the element's left
+  child, so the second step folds its transpose from that left child and
+  does not fold those ``s - 1`` factors again.  Its last spine factor is a
+  letter, so the second step is the last.
 
 The form is the core conjugated by the wrap, ``wrap + core +
 reversed(wrap)``, freely reduced by :func:`free_reduce` (equal adjacent
@@ -49,7 +53,6 @@ denote its element before it is memoized.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .basis import SHARED_CACHE, _levels, in_basis, in_loop
 from .normalize import InternalInvariantError, normal_form_chain
@@ -71,26 +74,56 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class PalindromicForm:
     """An odd palindrome ``h1 ... hm ... h1`` over the basis, stored as its
     half ``(h1, ..., hm)``; adjacent entries are distinct.  The full
     palindrome ``sequence`` is built once, here, and takes no part in
-    equality, hashing or ``repr``."""
+    equality, hashing or ``repr``.  A form is immutable."""
+
+    __slots__ = ("half", "sequence")
 
     half: tuple[Word, ...]
-    sequence: tuple[Word, ...] = field(init=False, compare=False, repr=False)
+    sequence: tuple[Word, ...]
 
-    def __post_init__(self) -> None:
-        if not self.half:
+    def __init__(self, half: tuple[Word, ...]) -> None:
+        if not half:
             raise ValueError("a palindromic form has at least one entry")
-        for a, b in zip(self.half, self.half[1:]):
-            if a is b:
-                raise ValueError(f"adjacent entries must differ: {a!r}")
-        for h in self.half:
-            if not in_basis(h):
-                raise ValueError(f"entry is not a basis member: {h!r}")
-        object.__setattr__(self, "sequence", self.half + self.half[-2::-1])
+        # One pass; a repeat anywhere is reported before a non-basis entry.
+        # A letter is a basis member, so only other entries need the test.
+        before = outside = None
+        for h in half:
+            if h is before:
+                raise ValueError(f"adjacent entries must differ: {h!r}")
+            if h.size != 1 and outside is None and not in_basis(h):
+                outside = h
+            before = h
+        if outside is not None:
+            raise ValueError(f"entry is not a basis member: {outside!r}")
+        _set_half(self, half)
+        _set_sequence(self, half + half[-2::-1])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.half == other.half
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.half,))
+
+    def __repr__(self):
+        return f"PalindromicForm(half={self.half!r})"
+
+
+# The slots' own setters: ``__init__`` sets each field once, past the
+# ``__setattr__`` that makes a form immutable.
+_set_half = PalindromicForm.__dict__["half"].__set__
+_set_sequence = PalindromicForm.__dict__["sequence"].__set__
 
 
 def free_reduce(left: tuple[Word, ...], right: tuple[Word, ...]) -> tuple[Word, ...]:
@@ -118,16 +151,17 @@ def _cold_form(element: Word) -> PalindromicForm:
     table yet: computed, checked to denote the word, and memoized."""
     # The carrier test of :func:`~bol2.basis.in_loop` on the spine that the
     # first step reads, so a cold form walks the element's spine once.
+    # A letter is a basis member, so only the composite factors are tested.
     spine = spine_factors(element)
-    if not (element.reduced and all(in_basis(f) for f in spine)):
+    if not (element.reduced and all(in_basis(f) for f in spine if f.size > 1)):
         raise ValueError(f"not a carrier element: {element!r}")
     # The steps of the module docstring.  The transpose is folded once, not
     # built: ``t`` is the transpose when it kept the size of ``g``, and
     # otherwise the transpose's normal form.
     g, wrap = element, ()
+    reverse = spine[::-1]
+    t = normal_form_chain(IDENTITY, reverse)
     while True:
-        reverse = spine[::-1]
-        t = normal_form_chain(IDENTITY, reverse)
         if g.size == 1 or spine[-1].size == 1 and compare(g, t) < 0:
             core = (g,)
             break
@@ -151,7 +185,12 @@ def _cold_form(element: Word) -> PalindromicForm:
                     f"no palindromic split over the basis: {g!r}"
                 )
             break
-        g, spine = t, spine_factors(spine[-1]) + reverse[1:]
+        # The next word is the transpose: its reversed spine is ``(a1, ...,
+        # a(s-1))`` and then the reversed spine of ``as``, and the fold of
+        # those first factors is ``g.left``, so its fold starts there.
+        tail = spine_factors(spine[-1])[::-1]
+        reverse, spine = spine[:-1] + tail, tail[::-1] + reverse[1:]
+        g, t = t, normal_form_chain(g.left, tail)
     # Conjugate the core by the wrap; the free reduction of an odd
     # palindrome is one, so its first half is the form.
     sequence = free_reduce(free_reduce(wrap, core), wrap[::-1])

@@ -35,6 +35,14 @@ otherwise a seeded sample; every report records what was scanned, so the
 checks are reproducible.  ``nuclei`` alone refuses to sample.  A check
 takes no time limit; the command line's ``--budget`` interrupts it.
 
+A sample is drawn from ``random.Random(seed)``.  Each pick from ``n``
+choices reads ``n.bit_length()`` bits with ``getrandbits`` and reads again
+while the value is at least ``n``, which is what ``Random.choice`` and
+``Random.randint`` do on CPython 3.10 to 3.13, so a seed draws the same
+cases as those calls would.  The picks are made inline, and each case is
+drawn as the scan reads it, so a sample of any size holds one case at a
+time.
+
 ``bol`` shares the subterms that bind fewer variables than the law: each
 scan computes ``x y`` once per ``(x, y)`` and ``(y z) y`` once per
 ``(y, z)``.  The two tables are made when the scan starts and dropped when
@@ -115,17 +123,17 @@ def _scan(universe, test, which, alphabet, spec) -> CheckReport:
     a failure wherever it returns a message.
 
     ``universe(alphabet, spec)`` gives a label, a unit, the number of cases,
-    all of them in order, and a draw of one case from an RNG.  All cases
-    are tested when they number at most ``spec.exhaustive_limit``;
-    otherwise ``spec.sample_size`` draws from one RNG seeded with
+    all of them in order, and ``draw(rng, count)``, which yields ``count``
+    cases drawn from an RNG as they are read.  All cases are tested when
+    they number at most ``spec.exhaustive_limit``; otherwise
+    ``spec.sample_size`` cases drawn from one RNG seeded with
     ``spec.seed``."""
     base, unit, total, every, draw = universe(alphabet, spec)
     if total <= spec.exhaustive_limit:
         cases = every
         report = CheckReport(which, f"{base}, exhaustive ({total} {unit})")
     else:
-        rng = random.Random(spec.seed)
-        cases = (draw(rng) for _ in range(spec.sample_size))
+        cases = draw(random.Random(spec.seed), spec.sample_size)
         label = f"{base}, sample of {spec.sample_size} {unit} (seed {spec.seed})"
         report = CheckReport(which, label, seed=spec.seed)
     for case in cases:
@@ -140,13 +148,27 @@ def _carrier(law, arity, alphabet, spec):
     """The universe of ``arity``-tuples of carrier elements of length <=
     ``spec.max_len``."""
     pool = enumerate_loop_words(alphabet, spec.max_len)
+    n = len(pool)
+
+    def draw(rng, count):
+        # Each entry is one ``rng.choice(pool)``, drawn inline (see the
+        # module docstring): a rejected index draws again.
+        bits, k = rng.getrandbits, n.bit_length()
+        for _ in range(count):
+            case = []
+            while len(case) < arity:
+                i = bits(k)
+                if i < n:
+                    case.append(pool[i])
+            yield tuple(case)
+
     return (
-        f"{law} over the {len(pool)} carrier elements of length <= "
+        f"{law} over the {n} carrier elements of length <= "
         f"{spec.max_len} on {alphabet.symbols!r}",
         "tuples",
-        len(pool) ** arity,
+        n**arity,
         itertools.product(pool, repeat=arity),
-        lambda rng: tuple([rng.choice(pool) for _ in range(arity)]),
+        draw,
     )
 
 
@@ -157,16 +179,27 @@ def _runs(what, unit, alphabet, spec):
     ``spec.max_seq``, names a run."""
     gens = enumerate_basis(alphabet, spec.max_len)
     n = len(gens)
+    # One basis word has no run of two: draw only its single run.
+    top = spec.max_seq if n > 1 else 1
 
-    def draw(rng):
-        run: list[Word] = []
-        # One basis word has no run of two: draw only its single run.
-        for _ in range(rng.randint(1, spec.max_seq if n > 1 else 1)):
-            g = rng.choice(gens)
-            while run and run[-1] is g:
-                g = rng.choice(gens)
-            run.append(g)
-        return tuple(run)
+    def draw(rng, count):
+        # A run is ``rng.randint(1, top)`` entries, each one
+        # ``rng.choice(gens)`` drawn again while it repeats the entry before
+        # it, all drawn inline (see the module docstring).
+        bits, k, m = rng.getrandbits, n.bit_length(), top.bit_length()
+        for _ in range(count):
+            # ``randint(1, top)`` is one more than a pick from ``top``.
+            more = bits(m)
+            while more >= top:
+                more = bits(m)
+            run: list[Word] = []
+            last = n
+            while len(run) <= more:
+                i = bits(k)
+                if i < n and i != last:
+                    run.append(gens[i])
+                    last = i
+            yield tuple(run)
 
     def every():
         # Each level extends the one before by a basis word other than its

@@ -355,7 +355,7 @@ def spine_factors(word: Word) -> tuple[Word, ...]:
     if word.size == 0:
         raise ValueError("the identity word has no spine")
     rev = []
-    while isinstance(word, Product):
+    while word.size > 1:  # a product: a letter has size 1
         rev.append(word.right)
         word = word.left
     rev.append(word)

@@ -9,7 +9,9 @@ is evidence and not tautology.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import itertools
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -274,6 +276,65 @@ def bol_unshared(x, y, z) -> bool:
     ``bol`` suite without its per-scan tables."""
     mul = verify.mul
     return mul(mul(mul(x, y), z), y) is mul(x, mul(mul(y, z), y))
+
+
+def choice_cases(rng, pool, arity: int, count: int) -> list[tuple[Word, ...]]:
+    """``count`` tuples of ``arity`` entries, each entry one ``rng.choice``
+    from ``pool``: the sampled cases of a law, drawn with ``random``'s own
+    calls."""
+    return [tuple([rng.choice(pool) for _ in range(arity)]) for _ in range(count)]
+
+
+def choice_runs(rng, gens, max_seq: int, count: int) -> list[tuple[Word, ...]]:
+    """``count`` runs of ``rng.randint(1, max_seq)`` entries (1 when there is
+    one basis word), each entry ``rng.choice(gens)`` drawn again while it
+    repeats the entry before it: the sampled runs, drawn with ``random``'s
+    own calls."""
+    top = max_seq if len(gens) > 1 else 1
+    runs = []
+    for _ in range(count):
+        run: list[Word] = []
+        for _ in range(rng.randint(1, top)):
+            g = rng.choice(gens)
+            while run and run[-1] is g:
+                g = rng.choice(gens)
+            run.append(g)
+        runs.append(tuple(run))
+    return runs
+
+
+def evaluate(word: Word, images, product) -> Word:
+    """The word read as a term: each letter ``l`` is ``images[l]`` and each
+    product of two subterms is ``product`` of their values, in post-order on
+    an explicit stack, so any depth works.  With ``product`` the loop
+    product, this is the endomorphism of the free loop that sends each
+    letter to its image."""
+    if word.size == 0:
+        return IDENTITY
+    values: dict[Word, Word] = {}
+    stack = [word]
+    while stack:
+        w = stack[-1]
+        if w in values:
+            stack.pop()
+        elif w.size == 1:
+            values[w] = images[w]
+            stack.pop()
+        elif w.left in values and w.right in values:
+            values[w] = product(values[w.left], values[w.right])
+            stack.pop()
+        else:
+            stack += (w.right, w.left)
+    return values[word]
+
+
+def load_script(name: str):
+    """The module of ``scripts/<name>.py``, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def transversal_brute(run: tuple[Word, ...]) -> bool:

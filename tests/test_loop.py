@@ -8,6 +8,7 @@ enumerating *all* short sequences and asserting injectivity along the way.
 
 import collections
 import itertools
+import random
 import subprocess
 import sys
 
@@ -37,8 +38,11 @@ from bol2 import InternalInvariantError, loop
 from bol2.loop import free_reduce
 
 from helpers import (
+    AB,
+    ABC,
     BOL8,
     bol_loop_search,
+    evaluate,
     is_associative,
     is_bol_loop_of_exponent_two,
     palindrome_index,
@@ -456,3 +460,50 @@ class TestFiniteImage:
                 assert values(mul(x, y)) == expected, (
                     render(x, alphabet), render(y, alphabet)
                 )
+
+
+def _swapped(x, y):
+    # A planted product with its operands swapped.
+    return mul(y, x)
+
+
+def _self_evaluation_mismatches(product):
+    """The carrier elements of ``ab`` <= 9 and ``abc`` <= 6 that, read as
+    terms with each letter its own image, do not evaluate to themselves."""
+    for alphabet, max_len in ((AB, 9), (ABC, 6)):
+        letters = {l: l for l in alphabet.letters}
+        for w in enumerate_loop_words(alphabet, max_len)[1:]:
+            if evaluate(w, letters, product) is not w:
+                yield w
+
+
+def _endomorphism_mismatches(product):
+    """The pairs ``(x, y)`` with ``e(x y) != e(x) e(y)``, over 300 seeded
+    endomorphisms ``e`` of the loop on ``ab``, each sending the letters to
+    elements of length at most 5, and ten pairs each."""
+    rng = random.Random(17)
+    pool = enumerate_loop_words(AB, 5)
+    for _ in range(300):
+        images = {l: rng.choice(pool) for l in AB.letters}
+        for _ in range(10):
+            x, y = rng.choice(pool), rng.choice(pool)
+            ex, ey = evaluate(x, images, product), evaluate(y, images, product)
+            if evaluate(product(x, y), images, product) is not product(ex, ey):
+                yield x, y
+
+
+class TestUniversalProperty:
+    """The loop is free on its letters, so any images of the letters extend
+    to an endomorphism: evaluate each element as a term.  Two consequences
+    need no table; each is checked against a planted wrong product too."""
+
+    def test_every_element_evaluates_to_itself(self):
+        # 965 and 1,779 elements besides the identity.
+        assert len(enumerate_loop_words(AB, 9)) == 966
+        assert len(enumerate_loop_words(ABC, 6)) == 1780
+        assert next(_self_evaluation_mismatches(mul), None) is None
+        assert next(_self_evaluation_mismatches(_swapped), None) is not None
+
+    def test_endomorphisms_respect_the_product(self):
+        assert next(_endomorphism_mismatches(mul), None) is None
+        assert next(_endomorphism_mismatches(_swapped), None) is not None

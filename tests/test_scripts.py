@@ -1,20 +1,10 @@
 """The command line scripts under ``scripts/``."""
 
-import importlib.util
-from pathlib import Path
+import json
 
 import pytest
 
-from helpers import AB, ABC, enumerate_words
-
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-def load_script(name: str):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import AB, ABC, enumerate_words, load_script
 
 
 @pytest.mark.parametrize("alphabet", [AB, ABC], ids=["ab", "abc"])
@@ -58,3 +48,22 @@ def test_basis_growth_rows(letters, capsys):
         [n, growth.plain_word_count(len(letters), n), w, d, r, b]
         for n, w, d, r, b in zip(range(1, max_len + 1), *columns)
     ]
+
+
+def test_golden_digests_are_unchanged():
+    # Each fixed output, recomputed in this process through ``cli.main``
+    # and the library, has the digest recorded in ``tests/golden.json``.
+    golden = load_script("golden")
+    assert golden.compute() == json.loads(golden.GOLDEN.read_text())
+
+
+def test_golden_check_exits_1_on_a_changed_digest(monkeypatch, tmp_path, capsys):
+    golden = load_script("golden")
+    monkeypatch.setattr(golden, "GOLDEN", tmp_path / "golden.json")
+    monkeypatch.setattr(golden, "compute", lambda: {"one": "1", "two": "2"})
+    assert golden.main(["--write"]) == 0
+    assert golden.main([]) == 0
+    (tmp_path / "golden.json").write_text(json.dumps({"one": "1", "two": "3"}))
+    capsys.readouterr()
+    assert golden.main([]) == 1
+    assert capsys.readouterr().out == "changed: two\n1 of 2 digests changed\n"

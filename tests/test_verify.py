@@ -4,6 +4,11 @@ A group word is a plain tuple of basis words with adjacent entries distinct:
 ``free_reduce`` multiplies two of them and ``normal_form_chain`` folds one
 into a start word, which is its action on the carrier."""
 
+import inspect
+import itertools
+import json
+import random
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -25,7 +30,14 @@ from bol2 import loop, verify
 from bol2.loop import free_reduce
 from bol2.verify import SUITES
 
-from helpers import bol_unshared, distinct_runs, transversal_brute
+from helpers import (
+    bol_unshared,
+    choice_cases,
+    choice_runs,
+    distinct_runs,
+    load_script,
+    transversal_brute,
+)
 
 
 def gw(ab, *texts):
@@ -295,3 +307,60 @@ class TestTransversal:
         for run in cases:
             v = normal_form_chain(IDENTITY, run)
             assert transversal_brute(run) == (mul(v, v) is IDENTITY), run
+
+
+class TestSampling:
+    """A sample draws the cases that ``random.Random.choice`` and ``randint``
+    would draw from the same seed, and reads the same bits."""
+
+    @pytest.mark.parametrize("letters,max_len", [("a", 3), ("ab", 5), ("abc", 3)])
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_tuples_are_the_choice_draws(self, letters, max_len, arity):
+        alphabet = Alphabet(letters)
+        *_, draw = verify._carrier("law", arity, alphabet, SampleSpec(max_len=max_len))
+        pool = enumerate_loop_words(alphabet, max_len)
+        for seed in range(10):
+            rng, oracle = random.Random(seed), random.Random(seed)
+            assert list(draw(rng, 50)) == choice_cases(oracle, pool, arity, 50)
+            assert rng.getstate() == oracle.getstate()
+
+    # One basis word (``a``, where a run has one entry), three and six.
+    @pytest.mark.parametrize("letters,max_len", [("a", 1), ("ab", 3), ("abc", 2)])
+    @pytest.mark.parametrize("max_seq", range(1, 6))
+    def test_runs_are_the_choice_draws(self, letters, max_len, max_seq):
+        alphabet = Alphabet(letters)
+        spec = SampleSpec(max_len=max_len, max_seq=max_seq)
+        *_, draw = verify._runs("{}", "runs", alphabet, spec)
+        gens = enumerate_basis(alphabet, max_len)
+        for seed in range(10):
+            rng, oracle = random.Random(seed), random.Random(seed)
+            assert list(draw(rng, 50)) == choice_runs(oracle, gens, max_seq, 50)
+            assert rng.getstate() == oracle.getstate()
+
+    @pytest.mark.parametrize(
+        "universe",
+        [partial(verify._carrier, "law", 3), partial(verify._runs, "{}", "runs")],
+        ids=["tuples", "runs"],
+    )
+    def test_a_sample_is_drawn_as_it_is_read(self, ab, universe):
+        # Tested before the call, since a draw that built its cases first
+        # would not return.
+        *_, draw = universe(ab, SampleSpec(max_len=5, max_seq=6))
+        assert inspect.isgeneratorfunction(draw)
+        cases = draw(random.Random(0), 10**12)
+        assert iter(cases) is cases
+        assert len(list(itertools.islice(cases, 5))) == 5
+
+    @pytest.mark.parametrize("command,cases,failing", [
+        ("check bol --max-len 5 --exhaustive-limit 0 --sample 3000 --seed 7", 3000, 2805),
+        ("check rip --max-len 6 --exhaustive-limit 0 --sample 500 --seed 3", 500, 477),
+    ])
+    def test_planted_swap_reports_are_unchanged(self, command, cases, failing, monkeypatch):
+        # Under a product with its operands swapped most sampled cases
+        # fail, so the report's digest fixes every case drawn.
+        golden = load_script("golden")
+        monkeypatch.setattr(verify, "mul", lambda x, y: loop.mul(y, x))
+        code, report = golden.output(command)
+        assert (code, report["cases"], len(report["failures"])) == (1, cases, failing)
+        expected = json.loads(golden.GOLDEN.read_text())
+        assert golden.digest([code, report]) == expected[f"swapped mul: {command}"]
