@@ -43,7 +43,8 @@ from bol2 import (
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden.json"
 
-# The command lines of the benchmark's enum and check workloads at seed 0.
+# The command lines of the benchmark's enum and check workloads at seed 0,
+# then the listings at the scale that CI runs.
 COMMANDS = (
     "enum R --max-len 8",
     "enum B --max-len 8",
@@ -51,6 +52,14 @@ COMMANDS = (
     "enum B --alphabet abc --max-len 6",
     "check bol --max-len 5 --exhaustive-limit 0 --sample 3000 --seed 163371115",
     "check transversal --max-len 7 --max-seq 4 --sample 600 --seed 281136722",
+    "enum R --max-len 13",
+    "enum B --max-len 13",
+    "enum R --alphabet abc --max-len 8",
+    "enum B --alphabet abc --max-len 8",
+    "enum W --max-len 9",
+    "enum D --max-len 9",
+    "enum W --alphabet abc --max-len 6",
+    "enum D --alphabet abc --max-len 6",
 )
 
 # Sampled checks under a product with its operands swapped: most cases fail.

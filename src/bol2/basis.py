@@ -9,6 +9,18 @@ the test suite):
     its last spine factor is a letter      (so transposing twice fixes it),
     and it precedes its transpose in the total order.
 
+Both facts about the transpose are read off the word's spine ``(a1, ...,
+ak)``, so the test builds no transpose and folds none.  *Size*: folding the
+reversed spine ``(ak, ..., a1)`` collapses only where an entry ``a(k-n)``
+is the left comb ``(ak ... a(k-n+1))`` of the entries before it in that
+order (equal neighbours, the fold's other collapse, never occur in a
+reduced word), so the transpose is reduced exactly when no entry is; else
+it is shorter, and sorts first.  *Order*: two left combs of one size
+compare right children first, so the word precedes its transpose exactly
+when, at the first pair ``(a(k-i), a(1+i))``, read outside-in, whose
+entries differ, ``a(k-i)`` precedes ``a(1+i)``; with no such pair the
+spine is a palindrome and the word is its own transpose.
+
 *Basis* members are candidates all of whose spine factors are recursively in
 the basis; the *carrier* consists of the identity word plus every reduced
 word whose spine factors are basis members.  Letters are candidates (and
@@ -47,7 +59,7 @@ import itertools
 from types import SimpleNamespace
 from typing import Callable, Iterator, Sequence
 
-from .normalize import is_reduced, normal_form, normal_form_chain
+from .normalize import is_reduced, normal_form
 from .words import (
     IDENTITY,
     Alphabet,
@@ -88,18 +100,51 @@ def is_candidate(word: Word) -> bool:
     """Order-minimal representative of a fully reduced transpose family.
 
     Length-1 words are candidates by convention; the identity word is not.
+    A composite candidate is reduced and its last spine factor is a letter;
+    then, for its spine ``(a1, ..., ak)``, two rules on the spine decide the
+    rest, and no transpose is built or folded:
+
+    * *order*: at the first pair ``(a(k-i), a(1+i))``, read outside-in,
+      whose entries differ, ``compare(a(k-i), a(1+i)) < 0``; with no such
+      pair the word is its own transpose, and no candidate;
+    * *size*: ``spine_factors(a(k-n)) != (ak, ..., a(k-n+1))`` for every
+      n, so the transpose keeps its size.
     """
     if word.size < 2:
         return word.size == 1
-    # A composite candidate is reduced and its last spine factor, the right
-    # child, is a letter: two field reads reject most words outright.
+    # Two field reads reject most words outright.
     if not (word.reduced and word.right.size == 1):
         return False
-    # The transpose folded, not built: the reversed spine keeps the word's
-    # size exactly when the transpose is reduced, and is then the transpose.
-    t = normal_form_chain(IDENTITY, spine_factors(word)[::-1])
-    # A shrunk fold is shorter and sorts first, and ``compare(word, word)`` is 0.
-    return compare(word, t) < 0
+    # The spine reversed, ``(ak, ..., a1)``: the right children down the
+    # left edge, and then the letter at its foot.
+    rev = []
+    while word.size > 1:
+        rev.append(word.right)
+        word = word.left
+    rev.append(word)
+    # Order: ``ak`` against ``a1`` first, two letters, so a rank decides;
+    # when they are one letter, the pairs inside them in turn.
+    if rev[0] is not word:
+        if rev[0].index > word.index:
+            return False
+    else:
+        i, j = 1, len(rev) - 2
+        while rev[i] is rev[j]:
+            i += 1
+            j -= 1
+            if i >= j:
+                return False
+        if compare(rev[i], rev[j]) > 0:
+            return False
+    # Size: only an entry as long as the entries before it can be their
+    # comb.  Neighbours differ, so the test starts at the third entry.
+    total = rev[0].size + rev[1].size
+    for n in range(2, len(rev)):
+        f = rev[n]
+        if f.size == total and spine_factors(f) == tuple(rev[:n]):
+            return False
+        total += f.size
+    return True
 
 
 def in_basis(word: Word) -> bool:

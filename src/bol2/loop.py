@@ -25,9 +25,11 @@ gives the transpose itself when it keeps the size of ``g``, and the
 transpose's normal form when it shrinks, so no non-reduced transpose enters
 the intern table.  When ``as`` is a letter, the double transpose is ``g``
 itself, so that one fold decides both whether ``g`` is a basis member (a
-letter, or it precedes its transpose: the test of
-:func:`~bol2.basis.is_candidate`) and the core.  A step finds the core, or
-passes a word to the next step:
+letter, or it precedes its transpose) and the core.  Every branch below
+but the first uses the transpose as a word (the word of the recursion, the
+core, or the next word), so a step folds it; only the membership test, as
+:func:`~bol2.basis.is_candidate` does, could be read off the spine.  A step
+finds the core, or passes a word to the next step:
 
 * a basis member ``g`` is the one-entry core, and adds nothing to the wrap;
 * otherwise ``(as, ..., a1)`` joins the wrap.  Then a shrunk transpose is
@@ -178,9 +180,11 @@ def _cold_form(element: Word) -> PalindromicForm:
             break
         if spine[-1].size == 1:
             # The double transpose is ``g`` itself, so a transpose other
-            # than ``g`` is the basis member.
+            # than ``g`` is the basis member.  A split's entries are spine
+            # factors of ``g``, basis members by the carrier test, and the
+            # form below tests them again.
             core = (t,) if t is not g else palindromic_split(g)
-            if t is g and (core is None or not all(in_basis(x) for x in core)):
+            if core is None:
                 raise InternalInvariantError(
                     f"no palindromic split over the basis: {g!r}"
                 )

@@ -22,8 +22,9 @@ carries its size and whether it is reduced (no subtree ``uu`` or ``(uv)v``);
 a product computes both from its two children when it is first built.
 Interned words live as long as the process, so the layers above test a
 rearrangement they do not keep (a transpose, the head of a palindromic
-split) without building it: a head is a left descendant of the word, and a
-transpose is folded through :func:`~bol2.normalize.normal_form_chain`.
+split) without building it: a head is a left descendant of the word, a
+transpose is folded through :func:`~bol2.normalize.normal_form_chain`, and
+the candidate test reads what it needs of a transpose off the spine.
 
 Two walks spell words, each in one mode.  :func:`render` spells one word in
 time and space linear in its size.  :func:`render_all` spells a listing

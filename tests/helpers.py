@@ -200,6 +200,19 @@ def candidate_brute(word: Word) -> bool:
     )
 
 
+def candidate_by_fold(word: Word) -> bool:
+    """The candidate test with its transpose folded: the reversed spine,
+    folded through ``normal_form_chain``, keeps the word's size exactly when
+    the transpose is reduced, and is then the transpose; a shrunk fold is
+    shorter and sorts first, and ``compare(word, word)`` is 0."""
+    if word.size < 2:
+        return word.size == 1
+    if not (word.reduced and word.right.size == 1):
+        return False
+    t = normal_form_chain(IDENTITY, spine_factors(word)[::-1])
+    return compare(word, t) < 0
+
+
 def palindromic_splits_brute(word: Word) -> list[tuple[Word, ...]]:
     """The literal split search: each head run of the spine, built as a word,
     followed by an even number of single factors, kept when the whole tuple
