@@ -10,8 +10,8 @@ that it must have:
 * the same for a check run under a planted product with its operands
   swapped, so that the digest fixes a long list of failures too;
 * the spelled halves of the canonical forms of every non-identity carrier
-  element of ``ab`` to length 9 and ``abc`` to length 6, each computed with
-  the forms table emptied first.
+  element of ``ab`` to length 11 and ``abc`` to length 7, each computed
+  with the forms table emptied first.
 
 The default mode recomputes every digest, prints each one that differs,
 and exits 1 if any does.  ``--write`` writes the digests to the file
@@ -68,7 +68,7 @@ SWAPPED = (
     "check rip --max-len 6 --exhaustive-limit 0 --sample 500 --seed 3",
 )
 
-FORMS = (("ab", 9), ("abc", 6))
+FORMS = (("ab", 11), ("abc", 7))
 
 
 def digest(value) -> str:

@@ -17,44 +17,42 @@ right multiplication.  Left division has a closed form too,
 ``((xy)z)y = x((yz)y)`` to get ``a((a(ba))a) = ((aa)(ba))a = (ba)a = b``.
 :func:`ldiv` still finds the quotient by a bounded search.
 
-The canonical form is found by steering a word toward its transposes, in
-one loop over a word ``g`` (at first the element) and its spine
-``(a1, ..., as)``.  Each step folds one transpose: the reversed spine
-``(as, ..., a1)``, folded through :func:`~bol2.normalize.normal_form_chain`,
-gives the transpose itself when it keeps the size of ``g``, and the
+The canonical form comes from one identity.  Let ``g`` have the spine
+``s = (a1, ..., ak)`` and let ``t`` be the fold of the reversed spine
+``s' = (ak, ..., a1)`` through :func:`~bol2.normalize.normal_form_chain`:
+the transpose of ``g`` when it keeps the size of ``g``, and the
 transpose's normal form when it shrinks, so no non-reduced transpose enters
-the intern table.  When ``as`` is a letter, the double transpose is ``g``
-itself, so that one fold decides both whether ``g`` is a basis member (a
-letter, or it precedes its transpose) and the core.  Every branch below
-but the first uses the transpose as a word (the word of the recursion, the
-core, or the next word), so a step folds it; only the membership test, as
-:func:`~bol2.basis.is_candidate` does, could be read off the spine.  A step
-finds the core, or passes a word to the next step:
+the intern table.  Then
 
-* a basis member ``g`` is the one-entry core, and adds nothing to the wrap;
-* otherwise ``(as, ..., a1)`` joins the wrap.  Then a shrunk transpose is
-  a strictly shorter carrier element, and the core is its form, from
-  :func:`symmetric_form`: the only recursion;
-* else if ``as`` is a letter, the core is the transpose, the basis member,
-  or, when the transpose is ``g`` itself, the unique odd palindromic
-  factorization of ``g`` over the basis;
-* else the transpose is a carrier element of the same size whose last spine
-  factor is ``a1``, a letter: it is the next step's word, and its spine is
-  the spine of ``as`` followed by ``(a(s-1), ..., a1)``.  Its reversed
-  spine begins with ``(a1, ..., a(s-1))``, whose fold is the element's left
-  child, so the second step folds its transpose from that left child and
-  does not fold those ``s - 1`` factors again.  Its last spine factor is a
-  letter, so the second step is the last.
+    form of g  =  s' + (form of t) + s,  freely reduced,
 
-The form is the core conjugated by the wrap, ``wrap + core +
-reversed(wrap)``, freely reduced by :func:`free_reduce` (equal adjacent
-entries are involutions and cancel).  Every computed form is checked to
-denote its element before it is memoized.
+since folding ``s'`` moves the identity to ``t``, the form of ``t`` moves
+``t`` to ``t*t = 1``, and ``s`` moves the identity to ``g``.  The spine's
+entries are basis members, as ``g`` is a carrier element, so the right side
+is an odd palindrome over the basis once :func:`free_reduce` cancels its
+equal adjacent entries (involutions), and by uniqueness it is the form.
+Two base cases end the recursion that the identity suggests:
+
+* a basis member ``g`` (a letter, or a word whose last spine factor is a
+  letter and that precedes its transpose) is its own one-entry form;
+* when ``ak`` is a letter and ``t`` keeps the size, the transpose of ``t``
+  is ``g`` again, so ``t`` is the basis member of the two and its own
+  one-entry form, or, when ``t`` is ``g`` itself, its form is the unique
+  odd palindromic factorization of ``g`` over the basis.
+
+Otherwise the identity is applied again to ``t``: a strictly shorter word,
+or one of the same size whose last spine factor ``a1`` is a letter, so
+that the next step ends or shrinks.  :func:`symmetric_form` applies it in
+one loop that collects the reversed spines into a wrap, stops at a base
+case or at a ``t`` whose form is already memoized, and conjugates that
+core by the wrap.  Only the requested element's form is memoized, once it
+is checked to denote the element.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
 
 from .basis import SHARED_CACHE, _levels, in_basis, in_loop
 from .normalize import InternalInvariantError, normal_form_chain
@@ -76,18 +74,18 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True)
 class PalindromicForm:
     """An odd palindrome ``h1 ... hm ... h1`` over the basis, stored as its
     half ``(h1, ..., hm)``; adjacent entries are distinct.  The full
     palindrome ``sequence`` is built once, here, and takes no part in
     equality, hashing or ``repr``.  A form is immutable."""
 
-    __slots__ = ("half", "sequence")
-
     half: tuple[Word, ...]
-    sequence: tuple[Word, ...]
+    sequence: tuple[Word, ...] = field(init=False, compare=False, repr=False)
 
-    def __init__(self, half: tuple[Word, ...]) -> None:
+    def __post_init__(self) -> None:
+        half = self.half
         if not half:
             raise ValueError("a palindromic form has at least one entry")
         # One pass; a repeat anywhere is reported before a non-basis entry.
@@ -101,31 +99,7 @@ class PalindromicForm:
             before = h
         if outside is not None:
             raise ValueError(f"entry is not a basis member: {outside!r}")
-        _set_half(self, half)
-        _set_sequence(self, half + half[-2::-1])
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.half == other.half
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.half,))
-
-    def __repr__(self):
-        return f"PalindromicForm(half={self.half!r})"
-
-
-# The slots' own setters: ``__init__`` sets each field once, past the
-# ``__setattr__`` that makes a form immutable.
-_set_half = PalindromicForm.__dict__["half"].__set__
-_set_sequence = PalindromicForm.__dict__["sequence"].__set__
+        object.__setattr__(self, "sequence", half + half[-2::-1])
 
 
 def free_reduce(left: tuple[Word, ...], right: tuple[Word, ...]) -> tuple[Word, ...]:
@@ -157,28 +131,18 @@ def _cold_form(element: Word) -> PalindromicForm:
     spine = spine_factors(element)
     if not (element.reduced and all(in_basis(f) for f in spine if f.size > 1)):
         raise ValueError(f"not a carrier element: {element!r}")
-    # The steps of the module docstring.  The transpose is folded once, not
+    # The steps of the module docstring.  The transpose is folded, not
     # built: ``t`` is the transpose when it kept the size of ``g``, and
     # otherwise the transpose's normal form.
     g, wrap = element, ()
-    reverse = spine[::-1]
-    t = normal_form_chain(IDENTITY, reverse)
     while True:
+        reverse = spine[::-1]
+        t = normal_form_chain(IDENTITY, reverse)
         if g.size == 1 or spine[-1].size == 1 and compare(g, t) < 0:
             core = (g,)
             break
         wrap = free_reduce(wrap, reverse)
-        if t.size < g.size:
-            # Strictly shorter, so the recursion terminates, and a
-            # non-identity carrier element, which the recursive call checks.
-            try:
-                core = symmetric_form(t).sequence
-            except ValueError:
-                raise InternalInvariantError(
-                    f"transpose of {g!r} reduced to unusable {t!r}"
-                ) from None
-            break
-        if spine[-1].size == 1:
+        if spine[-1].size == 1 and t.size == g.size:
             # The double transpose is ``g`` itself, so a transpose other
             # than ``g`` is the basis member.  A split's entries are spine
             # factors of ``g``, basis members by the carrier test, and the
@@ -189,12 +153,17 @@ def _cold_form(element: Word) -> PalindromicForm:
                     f"no palindromic split over the basis: {g!r}"
                 )
             break
-        # The next word is the transpose: its reversed spine is ``(a1, ...,
-        # a(s-1))`` and then the reversed spine of ``as``, and the fold of
-        # those first factors is ``g.left``, so its fold starts there.
-        tail = spine_factors(spine[-1])[::-1]
-        reverse, spine = spine[:-1] + tail, tail[::-1] + reverse[1:]
-        g, t = t, normal_form_chain(g.left, tail)
+        if t.size == 0:
+            raise InternalInvariantError(
+                f"transpose of {g!r} reduced to unusable {t!r}"
+            )
+        warm = SHARED_CACHE.forms.get(t)
+        if warm is not None:
+            core = warm.sequence
+            break
+        # Either shorter than ``g``, or of its size with a letter last, so
+        # at most every other step keeps the size and the loop ends.
+        g, spine = t, spine_factors(t)
     # Conjugate the core by the wrap; the free reduction of an odd
     # palindrome is one, so its first half is the form.
     sequence = free_reduce(free_reduce(wrap, core), wrap[::-1])

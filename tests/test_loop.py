@@ -235,6 +235,48 @@ class TestSymmetricForm:
         again = symmetric_form(w)
         assert again is not first and again.half == first.half
 
+    def test_a_cold_form_does_not_recurse(self, ab, fresh_cache, monkeypatch):
+        # Every shrunk transpose is stepped through in the one loop, with no
+        # call back into ``symmetric_form``, and only the requested element
+        # is memoized.
+        def recursed(element):
+            raise AssertionError(f"symmetric_form called on {element!r}")
+
+        monkeypatch.setattr(loop, "symmetric_form", recursed)
+        for g in enumerate_loop_words(ab, 9)[1:]:
+            fresh_cache.forms.clear()
+            form = loop._cold_form(g)
+            assert fresh_cache.forms == {g: form}, render(g, ab)
+
+    def test_forms_with_and_without_memo_hits_agree(
+        self, ab, abc, fresh_cache, monkeypatch
+    ):
+        # A warm pass meets memoized transposes and stops at them; a pass
+        # with the table emptied before each element meets none.
+        class Hits(dict):
+            hits = 0
+
+            def get(self, key, default=None):
+                value = dict.get(self, key, default)
+                self.hits += value is not None
+                return value
+
+        table = Hits()
+        monkeypatch.setattr(fresh_cache, "forms", table)
+        carrier = [
+            g
+            for alphabet, max_len in ((ab, 10), (abc, 6))
+            for g in enumerate_loop_words(alphabet, max_len)[1:]
+        ]
+        assert len(carrier) == 4371
+        warm = [symmetric_form(g) for g in carrier]
+        hits = table.hits
+        assert hits > 0
+        for g, form in zip(carrier, warm):
+            table.clear()
+            assert symmetric_form(g) == form, g
+        assert table.hits == hits
+
     def test_cold_forms_intern_no_non_reduced_word(self):
         # A fresh interpreter, so that no word built by another test can hide
         # one.  The transposes are folded, not built: a non-reduced transpose
@@ -273,6 +315,15 @@ class TestPalindromicForm:
         assert one == two and hash(one) == hash(two)
         assert one != PalindromicForm((a, b))
         assert "sequence" not in repr(one)
+
+    def test_fields_cannot_be_assigned_or_deleted(self, ab):
+        form = PalindromicForm((parse("b", ab), parse("a", ab)))
+        for name in ("half", "sequence"):
+            with pytest.raises(AttributeError):
+                setattr(form, name, ())
+            with pytest.raises(AttributeError):
+                delattr(form, name)
+        assert render(left_assoc(form.sequence), ab) == "(ba)b"
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
