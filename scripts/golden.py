@@ -8,7 +8,8 @@ that it must have:
   the digest is of its exit code and its output, with ``elapsed_ms``
   dropped from a check report, since that is a timing;
 * the same for a check run under a planted product with its operands
-  swapped, so that the digest fixes a long list of failures too;
+  swapped (:func:`planted`), so that the digest fixes a long list of
+  failures too;
 * the spelled halves of the canonical forms of every non-identity carrier
   element of ``ab`` to length 11 and ``abc`` to length 7, each computed
   with the forms table emptied first.
@@ -24,6 +25,7 @@ Example:
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -35,6 +37,7 @@ from bol2 import (
     Alphabet,
     cli,
     enumerate_loop_words,
+    left_assoc,
     loop,
     render,
     symmetric_form,
@@ -52,6 +55,9 @@ COMMANDS = (
     "enum B --alphabet abc --max-len 6",
     "check bol --max-len 5 --exhaustive-limit 0 --sample 3000 --seed 163371115",
     "check transversal --max-len 7 --max-seq 4 --sample 600 --seed 281136722",
+    "check bol --max-len 5",
+    "check rip --max-len 6",
+    "check nuclei --max-len 4",
     "enum R --max-len 13",
     "enum B --max-len 13",
     "enum R --alphabet abc --max-len 8",
@@ -88,6 +94,23 @@ def output(command: str) -> list:
     return [code, data]
 
 
+@contextlib.contextmanager
+def planted(product):
+    """Run the checks under ``product``, planted as ``verify.mul`` and as the
+    ``verify.act`` it induces: the spine of ``product`` folded over ``ys``
+    from ``left_assoc(spine)``."""
+
+    def act(spine, *ys):
+        return verify._spine(functools.reduce(product, ys, left_assoc(spine)))
+
+    real = verify.mul, verify.act
+    verify.mul, verify.act = product, act
+    try:
+        yield
+    finally:
+        verify.mul, verify.act = real
+
+
 def cold_forms() -> list[str]:
     """Each listed element with its spelled form half, one line each."""
     lines = []
@@ -103,13 +126,9 @@ def cold_forms() -> list[str]:
 def compute() -> dict[str, str]:
     """Every digest, keyed by what it is of."""
     digests = {command: digest(output(command)) for command in COMMANDS}
-    real = verify.mul
-    verify.mul = lambda x, y: loop.mul(y, x)
-    try:
+    with planted(lambda x, y: loop.mul(y, x)):
         for command in SWAPPED:
             digests[f"swapped mul: {command}"] = digest(output(command))
-    finally:
-        verify.mul = real
     spelled = ", ".join(f"{letters} <= {max_len}" for letters, max_len in FORMS)
     digests[f"cold forms: {spelled}"] = digest(cold_forms())
     return digests

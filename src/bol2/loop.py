@@ -17,6 +17,24 @@ right multiplication.  Left division has a closed form too,
 ``((xy)z)y = x((yz)y)`` to get ``a((a(ba))a) = ((aa)(ba))a = (ba)a = b``.
 :func:`ldiv` still finds the quotient by a bounded search.
 
+The same fold is a stack machine on spines.  Each of its steps from a
+reduced head ``u`` by a basis word ``f`` gives ``1`` when ``u`` is ``f``,
+``u.left`` when ``u.right`` is ``f``, and the reduced product ``(u f)``
+otherwise, whose spine is ``u``'s with ``f`` appended.  So the spine of
+``x * y`` needs only ``x``'s spine and ``y``'s form, much as the reduced
+words of the universal Coxeter group are the sequences with no equal
+neighbours (Björner and Brenti 2005).  :func:`act` reads each entry ``f``
+of each form's sequence and applies the first rule that fits:
+
+* an empty stack becomes ``spine_factors(f)``;
+* a last entry that is ``f`` is popped;
+* a stack that is ``spine_factors(f)`` empties; its last entry is then
+  ``f.right``, so only such a stack is compared, by a walk down ``f``;
+* otherwise ``f`` is pushed.
+
+It builds no word, so the checks fold a law's outermost products this way
+and compare the two sides as tuples; :func:`mul` keeps the word fold.
+
 The canonical form comes from one identity.  Let ``g`` have the spine
 ``s = (a1, ..., ak)`` and let ``t`` be the fold of the reversed spine
 ``s' = (ak, ..., a1)`` through :func:`~bol2.normalize.normal_form_chain`:
@@ -70,6 +88,7 @@ __all__ = [
     "free_reduce",
     "symmetric_form",
     "mul",
+    "act",
     "ldiv",
 ]
 
@@ -195,6 +214,47 @@ def mul(x: Word, y: Word) -> Word:
     except KeyError:
         form = _cold_form(y)
     return normal_form_chain(x, form.sequence)
+
+
+def act(spine: tuple[Word, ...], *ys: Word) -> tuple[Word, ...]:
+    """The spine of ``left_assoc(spine) * y1 * ... * yn``, by the stack
+    machine of the module docstring; the empty spine is the identity.
+
+    The spine must be a reduced word's, and each ``y`` a carrier element
+    (not checked here).  Forms are read as :func:`mul` reads them, and no
+    word is built."""
+    stack = list(spine)
+    push, pop = stack.append, stack.pop
+    forms = SHARED_CACHE.forms
+    for y in ys:
+        if y.size == 0:
+            continue
+        try:
+            form = forms[y]
+        except KeyError:
+            form = _cold_form(y)
+        for f in form.sequence:
+            if not stack:
+                stack += spine_factors(f)
+            elif stack[-1] is f:
+                pop()
+            elif f.size > 1 and stack[-1] is f.right and _is_spine(stack, f.left):
+                stack.clear()
+            else:
+                push(f)
+    return tuple(stack)
+
+
+def _is_spine(stack: list[Word], w: Word) -> bool:
+    """Whether ``stack`` without its last entry is the spine of ``w``: a walk
+    down the left children of ``w``, with no tuple built."""
+    i = len(stack) - 1
+    while w.size > 1:
+        i -= 1
+        if i < 1 or stack[i] is not w.right:
+            return False
+        w = w.left
+    return i == 1 and stack[0] is w
 
 
 def ldiv(

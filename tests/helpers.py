@@ -282,6 +282,19 @@ def palindrome_index(
     return index
 
 
+def plant_product(monkeypatch, product) -> None:
+    """Plant ``product`` as the loop product that :mod:`bol2.verify` reads:
+    as ``verify.mul``, and as the ``verify.act`` it induces, the spine of
+    ``product`` folded over ``ys`` from ``left_assoc(spine)``, so that the
+    suites that compare spines run the planted product too."""
+
+    def act(spine, *ys):
+        return verify._spine(functools.reduce(product, ys, left_assoc(spine)))
+
+    monkeypatch.setattr(verify, "mul", product)
+    monkeypatch.setattr(verify, "act", act)
+
+
 def bol_unshared(x, y, z) -> bool:
     """The right Bol law ``((x y) z) y = x ((y z) y)`` at one binding, every
     subterm computed afresh through the ``mul`` that :mod:`bol2.verify`

@@ -32,7 +32,7 @@ from bol2 import (
 from bol2.cli import build_parser, main
 from bol2.verify import SUITES
 
-from helpers import AB, all_words_up_to, transpose_family
+from helpers import AB, all_words_up_to, plant_product, transpose_family
 
 EXHAUSTED = "error: wall-clock budget exhausted\n"
 
@@ -533,7 +533,7 @@ class TestExitCodes:
         def previous(signum, frame):
             pass
 
-        monkeypatch.setattr(verify, "mul", mul)
+        plant_product(monkeypatch, mul)
         saved = signal.signal(signal.SIGALRM, previous)
         try:
             argv = ["check", "bol", "--max-len", "5", "--budget", "10"]

@@ -18,6 +18,7 @@ from bol2 import (
     IDENTITY,
     Alphabet,
     PalindromicForm,
+    Product,
     enumerate_basis,
     enumerate_loop_words,
     fine_factors,
@@ -34,7 +35,7 @@ from bol2 import (
     symmetric_form,
 )
 
-from bol2 import InternalInvariantError, loop
+from bol2 import InternalInvariantError, loop, verify
 from bol2.loop import free_reduce
 
 from helpers import (
@@ -413,6 +414,66 @@ class TestMul:
     def test_not_commutative(self, ab):
         x, y = parse("ba", ab), parse("ab", ab)
         assert mul(x, y) is not mul(y, x)
+
+
+_spine = verify._spine
+
+
+class TestAct:
+    """``act`` against the word fold it stands for."""
+
+    def test_one_product_is_the_spine_of_mul(self, ab, abc):
+        # Every pair of ab <= 6 and abc <= 4.  Each basis word is its own
+        # one-entry form, so ``act(stack, f)`` takes one step of the stack
+        # machine: the steps are checked one at a time, rule by rule, and
+        # each rule must be taken somewhere.
+        taken = collections.Counter()
+        pairs = 0
+        for alphabet, max_len in [(ab, 6), (abc, 4)]:
+            pool = enumerate_loop_words(alphabet, max_len)
+            for x, y in itertools.product(pool, repeat=2):
+                pairs += 1
+                expected = _spine(mul(x, y))
+                assert loop.act(_spine(x), y) == expected
+                stack = _spine(x)
+                for f in symmetric_form(y).sequence if y.size else ():
+                    after = loop.act(stack, f)
+                    if not stack:
+                        rule, rule_gives = "start", spine_factors(f)
+                    elif stack[-1] is f:
+                        rule, rule_gives = "pop", stack[:-1]
+                    elif stack == spine_factors(f):
+                        rule, rule_gives = "empty", ()
+                    else:
+                        rule, rule_gives = "push", stack + (f,)
+                    assert after == rule_gives, (x, y, f, rule)
+                    taken[rule] += 1
+                    stack = after
+                assert stack == expected
+        assert pairs == 15_332
+        assert set(taken) == {"start", "pop", "empty", "push"}
+        assert min(taken.values()) > 0
+
+    def test_a_chain_is_the_spine_of_the_mul_fold(self, ab, abc):
+        # ``act(spine(x), y, z, y)``, the left side of the Bol law, against
+        # ``((x y) z) y`` folded by ``mul``, on seeded triples.
+        rng = random.Random(35)
+        for alphabet, max_len in [(ab, 7), (abc, 5)]:
+            pool = enumerate_loop_words(alphabet, max_len)
+            for _ in range(2_000):
+                x, y, z = (rng.choice(pool) for _ in range(3))
+                expected = _spine(mul(mul(mul(x, y), z), y))
+                assert loop.act(_spine(x), y, z, y) == expected, (x, y, z)
+
+    def test_no_word_is_built(self, ab):
+        # On warm forms the fold reads the forms table and builds nothing.
+        pool = enumerate_loop_words(ab, 5)
+        for y in pool[1:]:
+            symmetric_form(y)
+        before = len(Product._interned)
+        for x, y in itertools.product(pool, repeat=2):
+            loop.act(_spine(x), y, x, y)
+        assert len(Product._interned) == before
 
 
 class TestDivision:

@@ -8,6 +8,8 @@ import inspect
 import itertools
 import json
 import random
+import subprocess
+import sys
 from functools import partial
 from types import SimpleNamespace
 
@@ -24,9 +26,10 @@ from bol2 import (
     mul,
     normal_form_chain,
     parse,
+    spine_factors,
     symmetric_form,
 )
-from bol2 import loop, verify
+from bol2 import cli, loop, verify
 from bol2.loop import free_reduce
 from bol2.verify import SUITES
 
@@ -36,6 +39,7 @@ from helpers import (
     choice_runs,
     distinct_runs,
     load_script,
+    plant_product,
     transversal_brute,
 )
 
@@ -160,13 +164,61 @@ class TestSuites:
         # would hide failures of the second.
         alphabet = Alphabet(letters)
         assert check_identity_suite("bol", alphabet, spec).ok
-        monkeypatch.setattr(verify, "mul", lambda x, y: loop.mul(y, x))
+        plant_product(monkeypatch, lambda x, y: loop.mul(y, x))
         shared = check_identity_suite("bol", alphabet, spec).to_dict()
         law = verify._law("((x y) z) y = x ((y z) y)", 3, lambda: bol_unshared)
         unshared = law("bol", alphabet, spec).to_dict()
         del shared["elapsed_ms"], unshared["elapsed_ms"]
         assert shared == unshared
         assert shared["cases"] > len(shared["failures"]) == failing
+
+    def test_a_fold_without_the_empty_rule_is_caught(self, ab, monkeypatch, capsys):
+        # A fault planted in ``act`` alone, with ``mul`` left real: a stack
+        # equal to the spine of the next factor ``f`` is pushed onto, not
+        # emptied, so the fold leaves the non-reduced word ``f f`` inside
+        # its result.  The Bol scan builds ``(y z) y`` from such a result
+        # and stops at it, exhaustive or sampled.
+        def act_without_emptying(spine, *ys):
+            stack = list(spine)
+            for y in ys:
+                for f in symmetric_form(y).sequence if y.size else ():
+                    if not stack:
+                        stack += spine_factors(f)
+                    elif stack[-1] is f:
+                        stack.pop()
+                    else:
+                        stack.append(f)
+            return tuple(stack)
+
+        argvs = (["check", "bol", "--max-len", "3"],
+                 "check bol --max-len 5 --exhaustive-limit 0 --sample 3000 --seed 7".split())
+        for argv in argvs:
+            assert cli.main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(verify, "act", act_without_emptying)
+        for argv in argvs:
+            assert cli.main(argv) == 6
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: internal invariant failed: a fold left a non-reduced word")
+
+    def test_an_exhaustive_bol_scan_interns_few_words(self):
+        # The sides of each case are compared as spines: only the scan's
+        # ``(y z) y`` products and the canonical forms become words.  In a
+        # process of its own, as interned words live as long as one.
+        code = (
+            "from bol2 import Alphabet, Product, SampleSpec, check_identity_suite\n"
+            "before = len(Product._interned)\n"
+            "report = check_identity_suite('bol', Alphabet('ab'), SampleSpec(max_len=5))\n"
+            "print(report.cases, report.ok, len(Product._interned) - before)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.stderr == ""
+        cases, ok, added = proc.stdout.split()
+        assert (cases, ok) == ("27000", "True")
+        assert int(added) < 10_000
 
     def test_nuclei_suite_finds_trivial_middle_nucleus(self, ab):
         report = check_identity_suite("nuclei", ab, SampleSpec(max_len=3))
@@ -274,7 +326,7 @@ class TestTransversal:
         # A planted product that fixes its left operand: no element then
         # squares to the identity, and every one of the 9 group words fails,
         # labelled by its generators.
-        monkeypatch.setattr(verify, "mul", lambda x, y: x)
+        plant_product(monkeypatch, lambda x, y: x)
         report = check_identity_suite("transversal", ab, SampleSpec(max_len=3, max_seq=2))
         assert report.failures[8] == (
             "ba*b * its palindromic word does not stabilize the identity"
@@ -359,7 +411,7 @@ class TestSampling:
         # Under a product with its operands swapped most sampled cases
         # fail, so the report's digest fixes every case drawn.
         golden = load_script("golden")
-        monkeypatch.setattr(verify, "mul", lambda x, y: loop.mul(y, x))
+        plant_product(monkeypatch, lambda x, y: loop.mul(y, x))
         code, report = golden.output(command)
         assert (code, report["cases"], len(report["failures"])) == (1, cases, failing)
         expected = json.loads(golden.GOLDEN.read_text())
