@@ -58,6 +58,8 @@ COMMANDS = (
     "check bol --max-len 5",
     "check rip --max-len 6",
     "check nuclei --max-len 4",
+    "check nuclei --max-len 8",
+    "check nuclei --alphabet abc --max-len 5",
     "enum R --max-len 13",
     "enum B --max-len 13",
     "enum R --alphabet abc --max-len 8",

@@ -371,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--exhaustive-limit",
         type=_at_least(0),
-        help="largest tuple universe scanned exhaustively",
+        help="largest universe scanned exhaustively; for nuclei, which never "
+        "samples, the largest row of witness pairs (non-identity elements squared)",
     )
     p.add_argument(
         "--seed", type=int, help="seed for sampled checks (default: %(default)s)"

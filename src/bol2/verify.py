@@ -29,12 +29,13 @@ transversal  ``v v = 1`` at the element ``v`` each run of basis words
              identity
 ===========  ==========================================================
 
-Every suite but ``nuclei`` is one scan of a universe with a test.  The laws
-scan tuples of carrier elements; unique-form and transversal scan runs of 1
-to ``max_seq`` basis words.  Universes are exhaustive when small enough,
-otherwise a seeded sample; every report records what was scanned, so the
-checks are reproducible.  ``nuclei`` alone refuses to sample.  A check
-takes no time limit; the command line's ``--budget`` interrupts it.
+Every suite is one scan of a universe with a test: the laws scan tuples of
+carrier elements, ``nuclei`` the non-identity elements, each searched for a
+witness pair, and unique-form and transversal runs of 1 to ``max_seq``
+basis words.  Universes are exhaustive when small enough, otherwise a
+seeded sample, which ``nuclei`` refuses: its limit bounds the witness pairs
+of one element.  Every report records what was scanned, so the checks are
+reproducible.  A check takes no time limit; the CLI's ``--budget`` ends it.
 
 A sample is drawn from ``random.Random(seed)``.  Each pick from ``n``
 choices reads ``n.bit_length()`` bits with ``getrandbits`` and reads again
@@ -48,17 +49,17 @@ The laws whose sides are only compared, ``bol``, ``rip`` and ``nuclei``,
 compute their outermost products with :func:`~bol2.loop.act` and compare
 the spines with ``==``, so comparing two sides interns no word.  A word is
 built only where a product's form is needed, ``(y z) y`` in ``bol`` and
-``a y`` in ``nuclei``, and only in the tables of a scan.  ``bol`` shares the subterms
-that bind fewer variables than the law: each scan computes the spine of a
-product of two pool elements once, for ``x y`` and ``y z`` alike, and
-``(y z) y`` once per ``(y, z)``.  The tables are made when the scan starts
-and dropped when it ends, so each holds at most min(cases, pool size²)
-entries, is no part of :data:`~bol2.basis.SHARED_CACHE`, and reads the
-``mul`` and ``act`` of its own scan.  A sample of 3,000 triples from the 30
-elements of length at most 5 repeats 71% of either binding; in one such
-sample (seed 125265118) the 1,735 distinct bindings of ``x y`` and of
-``y z`` are 898 products.  ``exp2`` compares with the identity through
-``mul``, and ``rip`` shares nothing.
+``a y`` in ``nuclei``, and only in the tables of a scan, which are made when
+it starts, dropped when it ends, no part of
+:data:`~bol2.basis.SHARED_CACHE`, and read the ``mul`` and ``act`` of the
+scan.  ``bol`` shares the subterms that bind fewer variables than the law:
+each scan computes the spine of a product of two pool elements once, for
+``x y`` and ``y z`` alike, and ``(y z) y`` once per ``(y, z)``, so each
+table holds at most min(cases, pool size²) entries.  A sample of 3,000
+triples from the 30 elements of length at most 5 repeats 71% of either
+binding; in one such sample (seed 125265118) the 1,735 distinct bindings of
+``x y`` and of ``y z`` are 898 products.  ``exp2`` compares with the
+identity through ``mul``, and ``rip`` shares nothing.
 """
 
 from __future__ import annotations
@@ -153,10 +154,8 @@ def _scan(universe, test, which, alphabet, spec) -> CheckReport:
     return report
 
 
-def _carrier(law, arity, alphabet, spec):
-    """The universe of ``arity``-tuples of carrier elements of length <=
-    ``spec.max_len``."""
-    pool = enumerate_loop_words(alphabet, spec.max_len)
+def _carrier(law, arity, pool, alphabet, spec):
+    """The universe of ``arity``-tuples of the carrier elements ``pool``."""
     n = len(pool)
 
     def draw(rng, count):
@@ -179,6 +178,20 @@ def _carrier(law, arity, alphabet, spec):
         itertools.product(pool, repeat=arity),
         draw,
     )
+
+
+def _non_identity(pool, alphabet, spec):
+    """The non-identity elements of ``pool``, as 1-tuples; never sampled, as
+    the limit must bound each one's row of witness pairs, which is no shorter."""
+    n = len(pool) - 1
+    if n * n > spec.exhaustive_limit:
+        raise ValueError(
+            f"middle-nucleus scan needs an exhaustive row of witnesses "
+            f"({n * n} > limit {spec.exhaustive_limit}); lower max_len"
+        )
+    label = f"middle-nucleus scan over the {n} non-identity carrier elements"
+    label += f" of length <= {spec.max_len} on {alphabet.symbols!r}"
+    return label, "elements", n, zip(pool[1:]), None
 
 
 def _runs(what, unit, alphabet, spec):
@@ -247,7 +260,7 @@ def _word(spine):
     return w
 
 
-def _bol():
+def _bol(pool):
     """The Bol law's test for one scan, with the scan's subterm tables (see
     the module docstring)."""
     spine = cache(_spine)
@@ -265,23 +278,39 @@ def _rip(x, y):
     return act(spine, y, y) == spine
 
 
+def _nuclei(pool):
+    """The middle-nucleus test for one scan: a witness ``(x a) y != x (a y)``,
+    searched over the non-identity ``pool`` (letters first), since ``x = 1``
+    or ``y = 1`` is none.  The tables hold each ``x``'s spine and ``a y``."""
+    rest = pool[1:]
+    spine = cache(_spine)
+    ay = cache(mul)
+    return lambda a: any(
+        act(spine(x), a, y) != act(spine(x), ay(a, y))
+        for x, y in itertools.product(rest, repeat=2)
+    )
+
+
+def _over_carrier(universe, make_holds, failure, which, alphabet, spec):
+    """A check over the carrier elements of length <= ``spec.max_len``:
+    ``make_holds(pool)``, called as the scan of ``universe(pool, alphabet,
+    spec)`` starts, gives its test of one case, with the scan's tables; a
+    failure is ``failure`` formatted with the case's elements."""
+    pool = enumerate_loop_words(alphabet, spec.max_len)
+    holds = make_holds(pool)
+
+    def test(case, alphabet):
+        if holds(*case):
+            return None
+        return failure.format(*(render(w, alphabet) for w in case))
+
+    return _scan(partial(universe, pool), test, which, alphabet, spec)
+
+
 def _law(law, arity, make_holds):
-    """The check of a law over the carrier: ``make_holds()``, called as
-    each scan starts, gives the scan's test of one binding, and a failure
-    binds x, y, z in order."""
-
-    def check(which, alphabet, spec):
-        holds = make_holds()
-
-        def test(case, alphabet):
-            if holds(*case):
-                return None
-            binding = " ".join(f"{n}={render(w, alphabet)}" for n, w in zip("xyz", case))
-            return f"{law} fails at {binding}"
-
-        return _scan(partial(_carrier, law, arity), test, which, alphabet, spec)
-
-    return check
+    # A law over ``arity``-tuples; a failure binds x, y, z in order.
+    failure = f"{law} fails at " + " ".join(f"{n}={{}}" for n in "xyz"[:arity])
+    return partial(_over_carrier, partial(_carrier, law, arity), make_holds, failure)
 
 
 def _unique_form(half, alphabet):
@@ -304,46 +333,16 @@ def _transversal(run, alphabet):
     return f"{words} * its palindromic word does not stabilize the identity"
 
 
-def _nuclei_suite(which, alphabet, spec) -> CheckReport:
-    """No non-identity element may satisfy ``(x a) y = x (a y)`` for *all*
-    ``x, y`` in the bounded universe.  Always exhaustive, and ``cases``
-    counts the ``(x, y)`` probes."""
-    pool = enumerate_loop_words(alphabet, spec.max_len)
-    total = len(pool) ** 3
-    if total > spec.exhaustive_limit:
-        raise ValueError(
-            f"middle-nucleus scan needs an exhaustive universe "
-            f"({total} > limit {spec.exhaustive_limit}); lower max_len"
-        )
-    report = CheckReport(
-        which,
-        f"middle-nucleus scan over the {len(pool)} carrier elements of "
-        f"length <= {spec.max_len} on {alphabet.symbols!r}, exhaustive",
-    )
-    spine = cache(_spine)
-    ay = cache(mul)
-    for a in pool:
-        if a.size == 0:
-            continue
-        central = True
-        for x, y in itertools.product(pool, repeat=2):
-            report.cases += 1
-            if act(spine(x), a, y) != act(spine(x), ay(a, y)):
-                central = False
-                break
-        if central:
-            report.failures.append(
-                f"non-identity element {render(a, alphabet)} passes the "
-                f"middle-nucleus test at this bound"
-            )
-    return report
-
-
 _CHECKS = {
     "bol": _law("((x y) z) y = x ((y z) y)", 3, _bol),
-    "exp2": _law("x x = 1", 1, lambda: _exp2),
-    "rip": _law("(x y) y = x", 2, lambda: _rip),
-    "nuclei": _nuclei_suite,
+    "exp2": _law("x x = 1", 1, lambda pool: _exp2),
+    "rip": _law("(x y) y = x", 2, lambda pool: _rip),
+    "nuclei": partial(
+        _over_carrier,
+        _non_identity,
+        _nuclei,
+        "non-identity element {} passes the middle-nucleus test at this bound",
+    ),
     "unique-form": partial(
         _scan,
         partial(_runs, "palindromic halves of length <= {}", "halves"),

@@ -33,7 +33,7 @@ from bol2 import (
     transpose,
 )
 from bol2 import verify
-from bol2.loop import free_reduce
+from bol2.loop import free_reduce, mul
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -302,6 +302,21 @@ def bol_unshared(x, y, z) -> bool:
     ``bol`` suite without its per-scan tables."""
     mul = verify.mul
     return mul(mul(mul(x, y), z), y) is mul(x, mul(mul(y, z), y))
+
+
+def central_elements(pool) -> list[Word]:
+    """The elements ``a`` of ``pool``, the identity included, with ``(x a) y
+    = x (a y)`` for every pair ``(x, y)`` of ``pool``, the identity included:
+    the middle nucleus at this bound, by the full row of every element, each
+    product computed afresh with :func:`~bol2.loop.mul`."""
+    return [
+        a
+        for a in pool
+        if all(
+            mul(mul(x, a), y) is mul(x, mul(a, y))
+            for x, y in itertools.product(pool, repeat=2)
+        )
+    ]
 
 
 def choice_cases(rng, pool, arity: int, count: int) -> list[tuple[Word, ...]]:

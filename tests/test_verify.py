@@ -26,6 +26,7 @@ from bol2 import (
     mul,
     normal_form_chain,
     parse,
+    render,
     spine_factors,
     symmetric_form,
 )
@@ -35,6 +36,7 @@ from bol2.verify import SUITES
 
 from helpers import (
     bol_unshared,
+    central_elements,
     choice_cases,
     choice_runs,
     distinct_runs,
@@ -166,7 +168,7 @@ class TestSuites:
         assert check_identity_suite("bol", alphabet, spec).ok
         plant_product(monkeypatch, lambda x, y: loop.mul(y, x))
         shared = check_identity_suite("bol", alphabet, spec).to_dict()
-        law = verify._law("((x y) z) y = x ((y z) y)", 3, lambda: bol_unshared)
+        law = verify._law("((x y) z) y = x ((y z) y)", 3, lambda pool: bol_unshared)
         unshared = law("bol", alphabet, spec).to_dict()
         del shared["elapsed_ms"], unshared["elapsed_ms"]
         assert shared == unshared
@@ -221,15 +223,38 @@ class TestSuites:
         assert int(added) < 10_000
 
     def test_nuclei_suite_finds_trivial_middle_nucleus(self, ab):
-        report = check_identity_suite("nuclei", ab, SampleSpec(max_len=3))
+        report = check_identity_suite("nuclei", ab, SampleSpec(max_len=4))
         assert report.ok
-        # cases counts (x, y) probes; every non-identity element needs at
-        # least one before its central-ness is refuted
-        assert report.cases >= len(enumerate_loop_words(ab, 3)) - 1
+        assert report.cases == len(enumerate_loop_words(ab, 4)) - 1 == 15
+        assert report.universe.endswith("exhaustive (15 elements)")
 
     def test_nuclei_suite_refuses_to_sample(self, ab):
         with pytest.raises(ValueError):
             check_identity_suite("nuclei", ab, SampleSpec(max_len=3, exhaustive_limit=1))
+
+    def test_nuclei_limit_bounds_one_row_of_witness_pairs(self, ab):
+        # The row of one element is every pair of the n non-identity
+        # elements: a limit of n² runs, and one less refuses.
+        n = len(enumerate_loop_words(ab, 4)) - 1
+        with pytest.raises(ValueError, match=f"{n * n} > limit {n * n - 1}"):
+            check_identity_suite("nuclei", ab, SampleSpec(max_len=4, exhaustive_limit=n * n - 1))
+        report = check_identity_suite("nuclei", ab, SampleSpec(max_len=4, exhaustive_limit=n * n))
+        assert report.ok and report.cases == n and report.seed is None
+
+    @pytest.mark.parametrize("letters,max_len", [("ab", 4), ("abc", 3), ("a", 3)])
+    def test_nuclei_failures_are_the_central_elements(self, letters, max_len):
+        # The witness search, which skips the identity as x and y and stops
+        # at the first witness, against the full row of every element.
+        alphabet = Alphabet(letters)
+        report = check_identity_suite("nuclei", alphabet, SampleSpec(max_len=max_len))
+        central = central_elements(enumerate_loop_words(alphabet, max_len))
+        assert central[0] is IDENTITY
+        assert report.failures == [
+            f"non-identity element {render(a, alphabet)} passes the middle-nucleus"
+            " test at this bound"
+            for a in central[1:]
+        ]
+        assert len(central) == (2 if letters == "a" else 1)
 
     def test_unique_form_suite(self, ab):
         report = check_identity_suite("unique-form", ab, SampleSpec(max_len=3, max_seq=2))
@@ -369,8 +394,8 @@ class TestSampling:
     @pytest.mark.parametrize("arity", [1, 2, 3])
     def test_tuples_are_the_choice_draws(self, letters, max_len, arity):
         alphabet = Alphabet(letters)
-        *_, draw = verify._carrier("law", arity, alphabet, SampleSpec(max_len=max_len))
         pool = enumerate_loop_words(alphabet, max_len)
+        *_, draw = verify._carrier("law", arity, pool, alphabet, SampleSpec(max_len=max_len))
         for seed in range(10):
             rng, oracle = random.Random(seed), random.Random(seed)
             assert list(draw(rng, 50)) == choice_cases(oracle, pool, arity, 50)
@@ -391,7 +416,10 @@ class TestSampling:
 
     @pytest.mark.parametrize(
         "universe",
-        [partial(verify._carrier, "law", 3), partial(verify._runs, "{}", "runs")],
+        [
+            partial(verify._carrier, "law", 3, enumerate_loop_words(Alphabet("ab"), 5)),
+            partial(verify._runs, "{}", "runs"),
+        ],
         ids=["tuples", "runs"],
     )
     def test_a_sample_is_drawn_as_it_is_read(self, ab, universe):
