@@ -8,6 +8,8 @@ counted by formula, Catalan(n-1) * k**n for k letters; the other columns
 come from the level generator of ``bol2.basis``, read once in each of its
 two modes: the reduced words with their candidates, and the carrier with
 the basis.  The ``sec`` column is the time to build the row's levels.
+The rows are built with the cycle collector off, as every ``bol2`` command
+is: interned words hold no cycles, so its passes would free nothing.
 
 Example:
 
@@ -22,6 +24,7 @@ import time
 
 from bol2 import Alphabet, is_candidate
 from bol2.basis import _levels
+from bol2.cli import _collector_paused
 
 
 def plain_word_count(n_letters: int, size: int) -> int:
@@ -44,15 +47,16 @@ def main(argv=None) -> int:
     reduced = itertools.islice(_levels(alphabet, args.max_len, reduced=True), 0, None, 2)
     generated = _levels(alphabet, args.max_len)  # C_1, B_1, C_2, B_2, ...
     candidates, basis_words, carrier = 0, 0, 1  # the identity is in the carrier
-    for n in range(1, args.max_len + 1):
-        t0 = time.perf_counter()
-        level = next(reduced)
-        candidates += sum(map(is_candidate, level))
-        carrier += len(next(generated))
-        basis_words += len(next(generated))
-        dt = time.perf_counter() - t0
-        print(f"{n:>3} {plain_word_count(len(alphabet), n):>10} {len(level):>10} "
-              f"{candidates:>8} {basis_words:>8} {carrier:>8} {dt:>7.2f}")
+    with _collector_paused():
+        for n in range(1, args.max_len + 1):
+            t0 = time.perf_counter()
+            level = next(reduced)
+            candidates += sum(map(is_candidate, level))
+            carrier += len(next(generated))
+            basis_words += len(next(generated))
+            dt = time.perf_counter() - t0
+            print(f"{n:>3} {plain_word_count(len(alphabet), n):>10} {len(level):>10} "
+                  f"{candidates:>8} {basis_words:>8} {carrier:>8} {dt:>7.2f}")
     return 0
 
 

@@ -1,10 +1,25 @@
 """Command line front end.
 
 Every command parses its operands, calls the library and prints the result
-as text or JSON.  ``--budget MS`` arms one POSIX interval timer, whose
+as text or JSON.  A call pays only for its own command:
+
+- :func:`main` builds the parser of the named command alone; help, a
+  missing command and an unknown one get the parser of all nine.
+- The command runs with the cycle collector off, and the caller's
+  collector state is back before :func:`main` returns, on every exit path.
+  Interned words form a DAG with no cycles, yet the collector still walks
+  the growing intern table: building the carrier of ``ab`` to length 15
+  took 0.67-0.72 s, about half of it in 1,307 collector passes that freed
+  nothing, and 0.30-0.34 s with the collector off, at the same peak memory
+  (Python 3.11, 2 vCPU).  No command leaves cyclic garbage (a test holds
+  every command to that), so nothing waits for the collector's return.
+
+``--budget MS`` arms one POSIX interval timer, whose
 ``SIGALRM`` handler raises :class:`BudgetExceeded` wherever the command is,
 except inside a ``gc`` callback, where Python would discard the exception:
-there it fires again 1 ms later.  The timer is stopped before anything is
+there it fires again 1 ms later.  With the collector off during a command,
+that branch serves only a collection that the caller runs itself, such as
+an explicit ``gc.collect()``.  The timer is stopped before anything is
 printed, and the previous handler is back before :func:`main` returns; the
 library takes no time limit.  An interrupt may land between any two
 bytecodes, so each memo store writes a finished value in one assignment:
@@ -261,69 +276,17 @@ def _at_least(minimum: int):
     return count
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--alphabet",
-        default="ab",
-        metavar="LETTERS",
-        help="ordered alphabet, first letter smallest (default: ab)",
-    )
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument(
-        "--budget",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="wall-clock budget in milliseconds",
-    )
+def _operands(p, left=None, right=None) -> None:
+    p.add_argument("left", metavar=left)
+    p.add_argument("right", metavar=right)
 
-    parser = argparse.ArgumentParser(
-        prog="bol2",
-        description="Words, canonical basis, and loop arithmetic of the free "
-        "Bol loop of exponent two over an ordered alphabet.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser(
-        "normalize", parents=[common], help="reduce a word to its normal form"
-    )
+def _word(p) -> None:
     p.add_argument("word")
-    p.set_defaults(handler=_cmd_normalize)
 
-    p = sub.add_parser(
-        "compare", parents=[common], help="order two words (less/equal/greater)"
-    )
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(handler=_cmd_compare)
 
-    p = sub.add_parser(
-        "transpose",
-        parents=[common],
-        help="spine, transposes, and transpose-family size of a word",
-    )
-    p.add_argument("word")
-    p.set_defaults(handler=_cmd_transpose)
-
-    p = sub.add_parser("mul", parents=[common], help="loop product of two elements")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(handler=_cmd_mul)
-
-    p = sub.add_parser(
-        "canon",
-        parents=[common],
-        help="half of the canonical palindromic form of an element",
-    )
-    p.add_argument("word")
-    p.set_defaults(handler=_cmd_canon)
-
-    p = sub.add_parser(
-        "ldiv", parents=[common], help="left quotient: the x with a*x = b"
-    )
-    p.add_argument("left", metavar="a")
-    p.add_argument("right", metavar="b")
+def _ldiv_arguments(p) -> None:
+    _operands(p, "a", "b")
     p.add_argument(
         "--bound",
         type=_at_least(1),
@@ -331,29 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="search length bound (default: |a|+|b|+2); not-found means only "
         "that the quotient is longer than the bound",
     )
-    p.set_defaults(handler=_cmd_ldiv)
 
-    p = sub.add_parser(
-        "rdiv", parents=[common], help="right quotient: the x with x*a = b"
-    )
-    p.add_argument("left", metavar="b")
-    p.add_argument("right", metavar="a")
-    # Every element is its own inverse, so b / a is the product b * a.
-    p.set_defaults(handler=_cmd_mul)
 
-    p = sub.add_parser(
-        "enum",
-        parents=[common],
-        help="enumerate reduced words (W), candidates (D), the basis (R), "
-        "or the loop carrier (B) up to a length",
-    )
+def _enum_arguments(p) -> None:
     p.add_argument("kind", choices=sorted(_ENUM_KINDS))
     p.add_argument("--max-len", type=_at_least(1), required=True)
-    p.set_defaults(handler=_cmd_enum)
 
-    p = sub.add_parser(
-        "check", parents=[common], help="run an identity or structure suite"
-    )
+
+def _check_arguments(p) -> None:
     p.add_argument("suite", choices=SUITES)
     p.add_argument("--max-len", type=_at_least(1), help="word length bound")
     p.add_argument(
@@ -378,19 +326,98 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, help="seed for sampled checks (default: %(default)s)"
     )
     # SampleSpec owns the defaults; _cmd_check reads back one value per field.
-    p.set_defaults(handler=_cmd_check, **asdict(SampleSpec()))
+    p.set_defaults(**asdict(SampleSpec()))
 
+
+# Each command: its help line, its handler, and what declares its arguments
+# besides the common ones.
+_COMMANDS = {
+    "normalize": ("reduce a word to its normal form", _cmd_normalize, _word),
+    "compare": ("order two words (less/equal/greater)", _cmd_compare, _operands),
+    "transpose": (
+        "spine, transposes, and transpose-family size of a word",
+        _cmd_transpose,
+        _word,
+    ),
+    "mul": ("loop product of two elements", _cmd_mul, _operands),
+    "canon": (
+        "half of the canonical palindromic form of an element",
+        _cmd_canon,
+        _word,
+    ),
+    "ldiv": ("left quotient: the x with a*x = b", _cmd_ldiv, _ldiv_arguments),
+    # Every element is its own inverse, so b / a is the product b * a.
+    "rdiv": (
+        "right quotient: the x with x*a = b",
+        _cmd_mul,
+        partial(_operands, left="b", right="a"),
+    ),
+    "enum": (
+        "enumerate reduced words (W), candidates (D), the basis (R), "
+        "or the loop carrier (B) up to a length",
+        _cmd_enum,
+        _enum_arguments,
+    ),
+    "check": ("run an identity or structure suite", _cmd_check, _check_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone: the same
+    prog, help, arguments and defaults, without building the others."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--alphabet",
+        default="ab",
+        metavar="LETTERS",
+        help="ordered alphabet, first letter smallest (default: ab)",
+    )
+    common.add_argument("--format", choices=("text", "json"), default="text")
+    common.add_argument(
+        "--budget",
+        type=float,
+        default=None,
+        metavar="MS",
+        help="wall-clock budget in milliseconds",
+    )
+
+    parser = argparse.ArgumentParser(
+        prog="bol2",
+        description="Words, canonical basis, and loop arithmetic of the free "
+        "Bol loop of exponent two over an ordered alphabet.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name in _COMMANDS if command is None else [command]:
+        summary, handler, declare = _COMMANDS[name]
+        p = sub.add_parser(name, parents=[common], help=summary)
+        declare(p)
+        p.set_defaults(handler=handler)
     return parser
 
 
+@contextmanager
+def _collector_paused():
+    """Run the block with the cycle collector off, then restore its state."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the named command's parser is built; help, a missing command and
+    # an unknown one need the full parser.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        with _budget(ns.budget):
+        with _collector_paused(), _budget(ns.budget):
             return ns.handler(ns)
     except BudgetExceeded as exc:
         code, message = 4, str(exc)

@@ -56,6 +56,16 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
+def subcommands(parser):
+    """The command names that ``parser`` registers."""
+    (commands,) = (
+        action.choices
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return sorted(commands)
+
+
 def without_elapsed(text):
     report = json.loads(text)
     del report["elapsed_ms"]
@@ -442,12 +452,7 @@ class TestExitCodes:
         assert run(capsys, "compare", right, left) == (0, "greater\n", "")
 
     def test_budget_zero_is_4_for_every_command(self, capsys):
-        (commands,) = (
-            action.choices
-            for action in build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        )
-        assert set(commands) == set(COMMANDS)
+        assert subcommands(build_parser()) == sorted(COMMANDS)
         for command, operands in COMMANDS.items():
             code, out, err = run(capsys, command, *operands, "--budget", "0")
             assert (code, out, err) == (4, "", EXHAUSTED), command
@@ -617,6 +622,170 @@ class TestExitCodes:
             "  non-identity element a passes the middle-nucleus test"
             " at this bound\n"
         ) in out
+
+
+class TestParser:
+    """``main`` builds the parser of the named command alone."""
+
+    @staticmethod
+    def parse(capsys, parser, argv):
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_command_parser_matches_the_full_parser(self, capsys, command):
+        full = build_parser()
+        assert run(capsys, command, "--help") == self.parse(
+            capsys, full, [command, "--help"]
+        )
+        # Every command has a required operand, so this is a usage error.
+        missing = run(capsys, command)
+        assert missing == self.parse(capsys, full, [command])
+        assert missing[0] == 2 and "the following arguments are required" in missing[2]
+
+    def test_main_builds_only_the_named_command(self, capsys, monkeypatch):
+        built = []
+
+        def build(command=None):
+            parser = build_parser(command)
+            built.append(subcommands(parser))
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", build)
+        for command, operands in COMMANDS.items():
+            assert run(capsys, command, *operands)[0] == 0, command
+            assert built.pop() == [command]
+        # Help, a missing command and an unknown one: all nine commands.
+        for argv, code in (["--help"], 0), ([], 2), (["nope"], 2), (["-x"], 2):
+            assert run(capsys, *argv)[0] == code, argv
+            assert built.pop() == sorted(COMMANDS), argv
+
+    def test_help_and_an_unknown_command_name_all_nine(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0 and all(f"    {c}" in out for c in COMMANDS)
+        code, _, err = run(capsys, "nope")
+        assert code == 2 and all(repr(c) in err for c in COMMANDS)
+        # With no command argparse names only its metavar, as the full
+        # parser always did.
+        assert run(capsys) == (
+            2, "", "usage: bol2 [-h] COMMAND ...\n"
+            "bol2: error: the following arguments are required: COMMAND\n",
+        )
+
+
+def _suite_runs():
+    for suite in SUITES:
+        bounds = ["check", suite, "--max-len", "3", "--max-seq", "2"]
+        yield 0, bounds
+        # nuclei never samples: a limit below one row is refused (exit 2).
+        sampled = bounds + ["--exhaustive-limit", "0", "--sample", "5"]
+        yield (2 if suite == "nuclei" else 0), sampled
+
+
+# Each command family and exit path, with the exit code it must give.
+COMMAND_RUNS = [
+    (0, ["normalize", "a"]),
+    (0, ["compare", "a", "b"]),
+    (0, ["transpose", "ab"]),
+    (0, ["mul", "a", "b"]),
+    (0, ["rdiv", "((ab)a)b", "b"]),
+    (0, ["canon", "ab"]),
+    (0, ["ldiv", "a", "ab"]),
+    (0, ["ldiv", "b", "(ab)a"]),  # not-found
+    *((0, ["enum", kind, "--max-len", "5"]) for kind in "WDRB"),
+    *_suite_runs(),
+    (1, ["check", "nuclei", "--alphabet", "a", "--max-len", "1"]),
+    (2, ["normalize", "a("]),
+    (3, ["mul", "b((ba)b)", "a"]),
+    (4, ["mul", "a", "b", "--budget", "0"]),
+    (4, ["check", "bol", "--max-len", "5", "--budget", "5"]),
+    (4, ["enum", "B", "--max-len", "40", "--budget", "20"]),
+]
+
+
+class TestCollector:
+    """A command runs with the cycle collector off.  That is safe because no
+    command leaves cyclic garbage, and the caller's state comes back."""
+
+    @pytest.fixture
+    def held_parser(self, monkeypatch):
+        # The parser is cyclic garbage once main returns; held here, it is
+        # not, so a collection counts only what the command left.
+        parser = build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: parser)
+
+    @staticmethod
+    def garbage_left_by(capsys, argv):
+        # The heap so far is frozen, so the collection scans only what the
+        # command made, not the whole intern table.
+        gc.disable()
+        gc.freeze()
+        try:
+            code = main(argv)
+            left = gc.collect()
+        finally:
+            gc.unfreeze()
+            gc.enable()
+        capsys.readouterr()
+        return code, left
+
+    @pytest.mark.parametrize(
+        "code,argv", COMMAND_RUNS, ids=[" ".join(argv) for _, argv in COMMAND_RUNS]
+    )
+    def test_a_command_leaves_no_cyclic_garbage(self, capsys, held_parser, code, argv):
+        _, baseline = self.garbage_left_by(capsys, ["normalize", "a"])
+        assert self.garbage_left_by(capsys, argv) == (code, baseline)
+
+    def test_a_planted_failure_leaves_no_cyclic_garbage(
+        self, capsys, monkeypatch, held_parser
+    ):
+        _, baseline = self.garbage_left_by(capsys, ["normalize", "a"])
+        real_mul = verify.mul
+        plant_product(monkeypatch, lambda x, y: real_mul(y, x))
+        argv = ["check", "bol", "--max-len", "3"]
+        assert self.garbage_left_by(capsys, argv) == (1, baseline)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_main_restores_the_collector_state(self, capsys, monkeypatch, enabled):
+        states = []
+
+        def recorded(x, y):
+            states.append(gc.isenabled())
+            return verify.mul(x, y)
+
+        def too_deep(x, y):
+            raise RecursionError
+
+        def broken(x, y):
+            raise InternalInvariantError("planted")
+
+        runs = [
+            (0, ["mul", "a", "b"], recorded),
+            (1, ["check", "nuclei", "--alphabet", "a", "--max-len", "1"], None),
+            (2, ["enum", "B", "--max-len", "-3"], None),  # usage
+            (2, ["normalize", "a("], None),  # ValueError
+            (3, ["mul", "b((ba)b)", "a"], None),
+            (4, ["mul", "a", "b", "--budget", "0"], None),
+            (4, ["check", "bol", "--max-len", "5", "--budget", "20"], None),
+            (5, ["mul", "a", "b"], too_deep),
+            (6, ["mul", "a", "b"], broken),
+        ]
+        caller = gc.isenabled()
+        try:
+            for code, argv, product in runs:
+                (gc.enable if enabled else gc.disable)()
+                with monkeypatch.context() as m:
+                    if product is not None:
+                        m.setattr(cli, "mul", product)
+                    assert run(capsys, *argv)[0] == code, argv
+                assert gc.isenabled() is enabled, argv
+        finally:
+            (gc.enable if caller else gc.disable)()
+        assert states == [False]  # the command itself ran without it
 
 
 def test_module_entry_point_runs_in_a_subprocess():

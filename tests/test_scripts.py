@@ -1,5 +1,6 @@
 """The command line scripts under ``scripts/``."""
 
+import gc
 import json
 
 import pytest
@@ -39,6 +40,7 @@ def test_basis_growth_rows(letters, capsys):
     columns = GROWTH[letters]
     max_len = len(columns[0])
     assert growth.main(["--alphabet", letters, "--max-len", str(max_len)]) == 0
+    assert gc.isenabled()  # the rows are built without it, then it is back
     header, rule, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == ["n", "P_n", "W_n", "D<=n", "R<=n", "B<=n", "sec"]
     assert set(rule) == {"-"}
