@@ -7,9 +7,9 @@ that it must have:
 * a ``--format json`` command line, run in process through ``cli.main``:
   the digest is of its exit code and its output, with ``elapsed_ms``
   dropped from a check report, since that is a timing;
-* the same for a check run under a planted product with its operands
-  swapped (:func:`planted`), so that the digest fixes a long list of
-  failures too;
+* the same for a check run under a planted product (:func:`planted`),
+  one with its operands swapped and one that returns its left operand, so
+  that the digest fixes a long list of failures too;
 * the spelled halves of the canonical forms of every non-identity carrier
   element of ``ab`` to length 11 and ``abc`` to length 7, each computed
   with the forms table emptied first.
@@ -57,6 +57,9 @@ COMMANDS = (
     "check transversal --max-len 7 --max-seq 4 --sample 600 --seed 281136722",
     "check bol --max-len 5",
     "check rip --max-len 6",
+    "check rip --alphabet abc --max-len 4",
+    "check exp2 --max-len 11",
+    "check exp2 --alphabet abc --max-len 7",
     "check nuclei --max-len 4",
     "check nuclei --max-len 8",
     "check nuclei --alphabet abc --max-len 5",
@@ -70,11 +73,23 @@ COMMANDS = (
     "enum D --alphabet abc --max-len 6",
 )
 
-# Sampled checks under a product with its operands swapped: most cases fail.
-SWAPPED = (
-    "check bol --max-len 5 --exhaustive-limit 0 --sample 3000 --seed 7",
-    "check rip --max-len 6 --exhaustive-limit 0 --sample 500 --seed 3",
-)
+# Checks under planted products, keyed by the label that prefixes their
+# digests: under the swapped product most cases fail, and under the one that
+# returns its left operand every case whose element is not the identity.
+PLANTED = {
+    "swapped mul": (
+        lambda x, y: loop.mul(y, x),
+        (
+            "check bol --max-len 5 --exhaustive-limit 0 --sample 3000 --seed 7",
+            "check rip --max-len 6 --exhaustive-limit 0 --sample 500 --seed 3",
+            "check nuclei --max-len 6",
+        ),
+    ),
+    "left operand": (
+        lambda x, y: x,
+        ("check exp2 --max-len 6", "check transversal --max-len 4 --max-seq 3"),
+    ),
+}
 
 FORMS = (("ab", 11), ("abc", 7))
 
@@ -96,21 +111,26 @@ def output(command: str) -> list:
     return [code, data]
 
 
-@contextlib.contextmanager
-def planted(product):
-    """Run the checks under ``product``, planted as ``verify.mul`` and as the
-    ``verify.act`` it induces: the spine of ``product`` folded over ``ys``
-    from ``left_assoc(spine)``."""
+def induced_act(product):
+    """The :func:`~bol2.loop.act` that ``product`` induces: the spine of
+    ``product`` folded over ``ys`` from ``left_assoc(spine)``."""
 
     def act(spine, *ys):
         return verify._spine(functools.reduce(product, ys, left_assoc(spine)))
 
-    real = verify.mul, verify.act
-    verify.mul, verify.act = product, act
+    return act
+
+
+@contextlib.contextmanager
+def planted(product):
+    """Run the checks under ``product``, planted as the ``verify.act`` it
+    induces, the one product that the checks read."""
+    real = verify.act
+    verify.act = induced_act(product)
     try:
         yield
     finally:
-        verify.mul, verify.act = real
+        verify.act = real
 
 
 def cold_forms() -> list[str]:
@@ -128,9 +148,10 @@ def cold_forms() -> list[str]:
 def compute() -> dict[str, str]:
     """Every digest, keyed by what it is of."""
     digests = {command: digest(output(command)) for command in COMMANDS}
-    with planted(lambda x, y: loop.mul(y, x)):
-        for command in SWAPPED:
-            digests[f"swapped mul: {command}"] = digest(output(command))
+    for label, (product, commands) in PLANTED.items():
+        with planted(product):
+            for command in commands:
+                digests[f"{label}: {command}"] = digest(output(command))
     spelled = ", ".join(f"{letters} <= {max_len}" for letters, max_len in FORMS)
     digests[f"cold forms: {spelled}"] = digest(cold_forms())
     return digests

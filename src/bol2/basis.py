@@ -67,8 +67,8 @@ from .words import (
     Word,
     clip,
     compare,
-    is_symmetric,
     new_product,
+    palindromic_split,
     render,
     spine_factors,
 )
@@ -183,7 +183,7 @@ def why_not_in_loop(word: Word, alphabet: Alphabet) -> str | None:
         return f"not reduced: normal form is {shown}"
     for f in spine_factors(word):
         if not in_basis(f):
-            note = " (the factor is symmetric)" if is_symmetric(f) else ""
+            note = " (the factor is symmetric)" if palindromic_split(f) else ""
             shown = clip(render(f, alphabet))
             return f"spine factor {shown} is not a basis member{note}"
     return None

@@ -386,7 +386,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Words, canonical basis, and loop arithmetic of the free "
         "Bol loop of exponent two over an ordered alphabet.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS if command is None else [command]:
         summary, handler, declare = _COMMANDS[name]
         p = sub.add_parser(name, parents=[common], help=summary)

@@ -45,21 +45,21 @@ cases as those calls would.  The picks are made inline, and each case is
 drawn as the scan reads it, so a sample of any size holds one case at a
 time.
 
-The laws whose sides are only compared, ``bol``, ``rip`` and ``nuclei``,
-compute their outermost products with :func:`~bol2.loop.act` and compare
-the spines with ``==``, so comparing two sides interns no word.  A word is
-built only where a product's form is needed, ``(y z) y`` in ``bol`` and
-``a y`` in ``nuclei``, and only in the tables of a scan, which are made when
-it starts, dropped when it ends, no part of
-:data:`~bol2.basis.SHARED_CACHE`, and read the ``mul`` and ``act`` of the
-scan.  ``bol`` shares the subterms that bind fewer variables than the law:
-each scan computes the spine of a product of two pool elements once, for
-``x y`` and ``y z`` alike, and ``(y z) y`` once per ``(y, z)``, so each
-table holds at most min(cases, pool size²) entries.  A sample of 3,000
-triples from the 30 elements of length at most 5 repeats 71% of either
-binding; in one such sample (seed 125265118) the 1,735 distinct bindings of
-``x y`` and of ``y z`` are 898 products.  ``exp2`` compares with the
-identity through ``mul``, and ``rip`` shares nothing.
+Every law folds its products with :func:`~bol2.loop.act`, the one product
+that the checks read, and compares spines with ``==``, so comparing two
+sides interns no word: ``exp2`` tests that ``x x`` has the empty spine.  A
+word is built only where a product is the operand of another, ``(y z) y``
+in ``bol`` and ``a y`` in ``nuclei``, as the word of the spine that
+``act`` leaves, and only in the tables of a scan, which are made when it
+starts, dropped when it ends, and no part of
+:data:`~bol2.basis.SHARED_CACHE`.  ``bol`` shares the subterms that bind
+fewer variables than the law: each scan computes the spine of a product of
+two pool elements once, for ``x y`` and ``y z`` alike, and ``(y z) y`` once
+per ``(y, z)``, so each table holds at most min(cases, pool size²) entries.
+A sample of 3,000 triples from the 30 elements of length at most 5 repeats
+71% of either binding; in one such sample (seed 125265118) the 1,735
+distinct bindings of ``x y`` and of ``y z`` are 898 products.  ``rip``
+shares nothing.  Runs of basis words keep the word fold.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 
 from .basis import enumerate_basis, enumerate_loop_words
-from .loop import act, mul, symmetric_form
+from .loop import act, symmetric_form
 from .normalize import InternalInvariantError, normal_form_chain
 from .words import IDENTITY, Alphabet, Word, left_assoc, render, spine_factors
 
@@ -265,12 +265,12 @@ def _bol(pool):
     the module docstring)."""
     spine = cache(_spine)
     pair = cache(lambda a, b: act(spine(a), b))
-    yzy = cache(lambda y, z: mul(_word(pair(y, z)), y))
+    yzy = cache(lambda y, z: _word(act(pair(y, z), y)))
     return lambda x, y, z: act(pair(x, y), z, y) == act(spine(x), yzy(y, z))
 
 
 def _exp2(x):
-    return mul(x, x) is IDENTITY
+    return not act(_spine(x), x)
 
 
 def _rip(x, y):
@@ -284,7 +284,7 @@ def _nuclei(pool):
     or ``y = 1`` is none.  The tables hold each ``x``'s spine and ``a y``."""
     rest = pool[1:]
     spine = cache(_spine)
-    ay = cache(mul)
+    ay = cache(lambda a, y: _word(act(spine(a), y)))
     return lambda a: any(
         act(spine(x), a, y) != act(spine(x), ay(a, y))
         for x, y in itertools.product(rest, repeat=2)

@@ -61,7 +61,6 @@ __all__ = [
     "fine_factors",
     "transpose",
     "palindromic_split",
-    "is_symmetric",
     "compare",
 ]
 
@@ -406,12 +405,6 @@ def palindromic_split(word: Word) -> tuple[Word, ...] | None:
     if head is last and len(between) % 2 and between == between[::-1]:
         return (head,) + factors[j:]
     return None
-
-
-def is_symmetric(word: Word) -> bool:
-    """Whether the word is an odd palindromic product ``u1 u2 ... um ... u2 u1``
-    with at least three factors."""
-    return palindromic_split(word) is not None
 
 
 def compare(u: Word, v: Word) -> int:

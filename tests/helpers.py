@@ -284,23 +284,22 @@ def palindrome_index(
 
 def plant_product(monkeypatch, product) -> None:
     """Plant ``product`` as the loop product that :mod:`bol2.verify` reads:
-    as ``verify.mul``, and as the ``verify.act`` it induces, the spine of
-    ``product`` folded over ``ys`` from ``left_assoc(spine)``, so that the
-    suites that compare spines run the planted product too."""
-
-    def act(spine, *ys):
-        return verify._spine(functools.reduce(product, ys, left_assoc(spine)))
-
-    monkeypatch.setattr(verify, "mul", product)
-    monkeypatch.setattr(verify, "act", act)
+    as the ``verify.act`` it induces (``induced_act`` of
+    ``scripts/golden.py``), which every law folds with, ``transversal``'s
+    exponent-two test included."""
+    monkeypatch.setattr(verify, "act", load_script("golden").induced_act(product))
 
 
 def bol_unshared(x, y, z) -> bool:
     """The right Bol law ``((x y) z) y = x ((y z) y)`` at one binding, every
-    subterm computed afresh through the ``mul`` that :mod:`bol2.verify`
-    reads at the time of the call, a planted one included: the test of the
-    ``bol`` suite without its per-scan tables."""
-    mul = verify.mul
+    subterm computed afresh as a word through the ``act`` that
+    :mod:`bol2.verify` reads at the time of the call, a planted one
+    included: the test of the ``bol`` suite without its per-scan tables."""
+    act = verify.act
+
+    def mul(a, b):
+        return verify._word(act(verify._spine(a), b))
+
     return mul(mul(mul(x, y), z), y) is mul(x, mul(mul(y, z), y))
 
 

@@ -18,9 +18,9 @@ from bol2 import (
     in_loop,
     is_candidate,
     is_reduced,
-    is_symmetric,
     ldiv,
     normal_form_chain,
+    palindromic_split,
     parse,
     render,
     spine_factors,
@@ -160,7 +160,7 @@ class TestBasis:
             assert compare(w, t) < 0, render(w, ab)
             assert all(is_reduced(x) for x in transpose_family(w))
             assert spine_factors(w)[-1].size == 1
-            assert not is_symmetric(w)
+            assert palindromic_split(w) is None
             assert all(in_basis(f) for f in spine_factors(w))
 
     @pytest.mark.parametrize(

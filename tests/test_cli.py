@@ -25,9 +25,9 @@ from bol2 import (
     cli,
     enumerate_loop_words,
     left_assoc,
+    loop,
     parse,
     render,
-    verify,
 )
 from bol2.cli import build_parser, main
 from bol2.verify import SUITES
@@ -522,7 +522,6 @@ class TestExitCodes:
             for _ in range(100):
                 pass
 
-        real_mul = verify.mul
         collected = []
 
         def mul(x, y):
@@ -533,7 +532,7 @@ class TestExitCodes:
                     gc.collect()
                 finally:
                     gc.callbacks.remove(spin)
-            return real_mul(x, y)
+            return loop.mul(x, y)
 
         def previous(signum, frame):
             pass
@@ -669,12 +668,14 @@ class TestParser:
         assert code == 0 and all(f"    {c}" in out for c in COMMANDS)
         code, _, err = run(capsys, "nope")
         assert code == 2 and all(repr(c) in err for c in COMMANDS)
-        # With no command argparse names only its metavar, as the full
-        # parser always did.
-        assert run(capsys) == (
-            2, "", "usage: bol2 [-h] COMMAND ...\n"
-            "bol2: error: the following arguments are required: COMMAND\n",
-        )
+        # With no command, or an unknown option, the usage line lists the
+        # nine choices in the order of ``--help``.
+        choices = "{normalize,compare,transpose,mul,canon,ldiv,rdiv,enum,check}"
+        for argv in [], ["-x"]:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("usage: bol2 [-h]") and choices in err, argv
+        assert err.endswith("bol2: error: the following arguments are required: command\n")
 
 
 def _suite_runs():
@@ -744,8 +745,7 @@ class TestCollector:
         self, capsys, monkeypatch, held_parser
     ):
         _, baseline = self.garbage_left_by(capsys, ["normalize", "a"])
-        real_mul = verify.mul
-        plant_product(monkeypatch, lambda x, y: real_mul(y, x))
+        plant_product(monkeypatch, lambda x, y: loop.mul(y, x))
         argv = ["check", "bol", "--max-len", "3"]
         assert self.garbage_left_by(capsys, argv) == (1, baseline)
 
@@ -755,7 +755,7 @@ class TestCollector:
 
         def recorded(x, y):
             states.append(gc.isenabled())
-            return verify.mul(x, y)
+            return loop.mul(x, y)
 
         def too_deep(x, y):
             raise RecursionError

@@ -46,6 +46,22 @@ from helpers import (
 )
 
 
+def act_without_emptying(spine, *ys):
+    """:func:`~bol2.loop.act` with a fault: a stack equal to the spine of the
+    next factor ``f`` is pushed onto, not emptied, so the fold leaves the
+    non-reduced word ``f f`` inside its result."""
+    stack = list(spine)
+    for y in ys:
+        for f in symmetric_form(y).sequence if y.size else ():
+            if not stack:
+                stack += spine_factors(f)
+            elif stack[-1] is f:
+                stack.pop()
+            else:
+                stack.append(f)
+    return tuple(stack)
+
+
 def gw(ab, *texts):
     return tuple(parse(t, ab) for t in texts)
 
@@ -175,23 +191,8 @@ class TestSuites:
         assert shared["cases"] > len(shared["failures"]) == failing
 
     def test_a_fold_without_the_empty_rule_is_caught(self, ab, monkeypatch, capsys):
-        # A fault planted in ``act`` alone, with ``mul`` left real: a stack
-        # equal to the spine of the next factor ``f`` is pushed onto, not
-        # emptied, so the fold leaves the non-reduced word ``f f`` inside
-        # its result.  The Bol scan builds ``(y z) y`` from such a result
+        # The Bol scan builds ``(y z) y`` from a result of the faulty fold
         # and stops at it, exhaustive or sampled.
-        def act_without_emptying(spine, *ys):
-            stack = list(spine)
-            for y in ys:
-                for f in symmetric_form(y).sequence if y.size else ():
-                    if not stack:
-                        stack += spine_factors(f)
-                    elif stack[-1] is f:
-                        stack.pop()
-                    else:
-                        stack.append(f)
-            return tuple(stack)
-
         argvs = (["check", "bol", "--max-len", "3"],
                  "check bol --max-len 5 --exhaustive-limit 0 --sample 3000 --seed 7".split())
         for argv in argvs:
@@ -203,6 +204,24 @@ class TestSuites:
             out, err = capsys.readouterr()
             assert out == ""
             assert err.startswith("error: internal invariant failed: a fold left a non-reduced word")
+
+    @pytest.mark.parametrize("suite,max_len,cases,failing", [
+        ("exp2", 6, 64, 35),
+        ("rip", 5, 900, 34),
+    ])
+    def test_a_fault_in_act_alone_fails_the_compared_laws(
+        self, suite, max_len, cases, failing, monkeypatch, capsys
+    ):
+        # ``exp2`` and ``rip`` only compare spines, so they build no word
+        # from the faulty fold: they report its wrong products as failures.
+        argv = ["check", suite, "--max-len", str(max_len), "--format", "json"]
+        assert cli.main(argv) == 0
+        monkeypatch.setattr(verify, "act", act_without_emptying)
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert (report["cases"], len(report["failures"]), err) == (cases, failing, "")
 
     def test_an_exhaustive_bol_scan_interns_few_words(self):
         # The sides of each case are compared as spines: only the scan's

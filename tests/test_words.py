@@ -16,7 +16,6 @@ from bol2 import (
     enumerate_candidates,
     enumerate_loop_words,
     enumerate_reduced,
-    is_symmetric,
     left_assoc,
     parse,
     render,
@@ -301,17 +300,17 @@ class TestCompare:
 
 class TestSymmetric:
     def test_goldens(self, ab):
-        assert is_symmetric(parse("(ab)a", ab))
-        assert is_symmetric(parse("(ba)b", ab))
-        assert is_symmetric(parse("((ab)(ba))(ab)", ab))
-        assert not is_symmetric(parse("ba", ab))
-        assert not is_symmetric(parse("a", ab))
-        assert not is_symmetric(IDENTITY)
+        assert palindromic_split(parse("(ab)a", ab)) is not None
+        assert palindromic_split(parse("(ba)b", ab)) is not None
+        assert palindromic_split(parse("((ab)(ba))(ab)", ab)) is not None
+        assert palindromic_split(parse("ba", ab)) is None
+        assert palindromic_split(parse("a", ab)) is None
+        assert palindromic_split(IDENTITY) is None
 
     def test_brute_force_equality(self, ab):
         brute = symmetric_brute_set(ab, 6)
         for w in all_words_up_to(ab, 6):
-            assert is_symmetric(w) == (w in brute), render(w, ab)
+            assert (palindromic_split(w) is not None) == (w in brute), render(w, ab)
 
     def test_splits_match_the_built_head_oracle(self, ab, abc):
         words = [
@@ -332,7 +331,7 @@ class TestSymmetric:
 
     @given(word_strategy(AB, 3), word_strategy(AB, 2))
     def test_explicit_palindromes_are_symmetric(self, mid, outer):
-        assert is_symmetric(left_assoc((outer, mid, outer)))
+        assert palindromic_split(left_assoc((outer, mid, outer))) is not None
 
 
 class TestEnumeration:
